@@ -49,6 +49,10 @@ pub struct Cache {
     sets: Vec<Vec<Line>>,
     assoc: usize,
     block_bytes: u64,
+    /// `log2(block_bytes)` and `num_sets - 1`: the validated geometry is
+    /// all powers of two, so the set index is a shift and a mask.
+    block_shift: u32,
+    set_mask: u64,
     tick: u64,
 }
 
@@ -60,13 +64,15 @@ impl Cache {
             sets: vec![Vec::with_capacity(cfg.assoc as usize); num_sets],
             assoc: cfg.assoc as usize,
             block_bytes: cfg.block_bytes,
+            block_shift: cfg.block_bytes.trailing_zeros(),
+            set_mask: num_sets as u64 - 1,
             tick: 0,
         }
     }
 
     #[inline]
     fn set_index(&self, block: BlockAddr) -> usize {
-        ((block.0 / self.block_bytes) % self.sets.len() as u64) as usize
+        ((block.0 >> self.block_shift) & self.set_mask) as usize
     }
 
     #[inline]

@@ -388,7 +388,7 @@ mod tests {
         else {
             panic!()
         };
-        assert_eq!(invalidate, vec![P0, P2]);
+        assert_eq!(invalidate.iter().collect::<Vec<_>>(), vec![P0, P2]);
         assert!(!data_needed);
         assert_eq!(d.stats().invalidations_requested, 2);
         assert_eq!(d.stats().upgrades, 1);

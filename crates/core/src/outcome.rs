@@ -2,6 +2,8 @@
 
 use ccsim_types::NodeId;
 
+use crate::SharerSet;
+
 /// What kind of copy a read grant confers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GrantKind {
@@ -96,7 +98,7 @@ pub enum WriteStep {
     /// Home can grant directly: invalidate the listed sharers; send data iff
     /// `data_needed` (write miss rather than upgrade).
     Memory {
-        invalidate: Vec<NodeId>,
+        invalidate: SharerSet,
         data_needed: bool,
     },
     /// Block owned elsewhere: engine forwards, owner invalidates and ships

@@ -315,7 +315,7 @@ pub fn write(cfg: &ProtocolConfig, stats: &mut DirStats, e: &mut DirEntry, p: No
             e.state = HomeState::Owned(p);
             e.sharers = SharerSet::single(p);
             WriteStep::Memory {
-                invalidate: Vec::new(),
+                invalidate: SharerSet::EMPTY,
                 data_needed: true,
             }
         }
@@ -326,12 +326,11 @@ pub fn write(cfg: &ProtocolConfig, stats: &mut DirStats, e: &mut DirEntry, p: No
             } else {
                 stats.write_misses += 1;
             }
-            let invalidate: Vec<NodeId> =
-                if cfg.rule_mutation() == Some(RuleMutation::DropInvalidations) {
-                    Vec::new()
-                } else {
-                    e.sharers.others(p).collect()
-                };
+            let mut invalidate = e.sharers;
+            invalidate.remove(p);
+            if cfg.rule_mutation() == Some(RuleMutation::DropInvalidations) {
+                invalidate = SharerSet::EMPTY;
+            }
             stats.invalidations_requested += invalidate.len() as u64;
             stats.writes_to_shared += 1;
             stats.invals_on_shared_writes += invalidate.len() as u64;

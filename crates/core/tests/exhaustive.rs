@@ -137,7 +137,7 @@ impl Model {
                 data_needed,
             } => {
                 assert_eq!(data_needed, self.lines[p.idx()] == Line::I);
-                for v in invalidate {
+                for v in invalidate.iter() {
                     assert_eq!(self.lines[v.idx()], Line::S, "invalidated a non-sharer");
                     self.lines[v.idx()] = Line::I;
                 }

@@ -153,8 +153,8 @@ impl Harness {
                             self.holders(b).get(&p).is_none(),
                             "data needed iff requester held no copy"
                         );
-                        for v in &invalidate {
-                            let st = self.holders(b).remove(v);
+                        for v in invalidate.iter() {
+                            let st = self.holders(b).remove(&v);
                             assert_eq!(st, Some(MirrorState::S), "invalidated a non-sharer");
                         }
                         // Everyone else must be gone now.

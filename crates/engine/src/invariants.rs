@@ -203,6 +203,9 @@ pub struct InvariantChecker {
     /// the mode can be switched on at any point of a run.
     golden: FxHashMap<Addr, u64>,
     report: InvariantReport,
+    /// Scratch holder list for [`InvariantChecker::check_holders`], reused
+    /// so a clean check allocates nothing.
+    holders: Vec<(NodeId, CopyState)>,
 }
 
 impl InvariantChecker {
@@ -211,6 +214,7 @@ impl InvariantChecker {
             mode,
             golden: FxHashMap::default(),
             report: InvariantReport::default(),
+            holders: Vec::new(),
         }
     }
 
@@ -275,11 +279,32 @@ impl InvariantChecker {
         node: NodeId,
         cycle: u64,
     ) {
+        self.check_holders(protocol, block, entry, node, cycle, |out| {
+            out.extend(holders.iter().map(|&(n, s)| (n, copy_state(s))));
+        });
+    }
+
+    /// [`InvariantChecker::check_block`] with the holders written by `fill`
+    /// into a scratch list the checker keeps between calls: the per-access
+    /// hook of a checked run, which allocates nothing unless it records a
+    /// violation. `fill` runs only when checking is on.
+    pub fn check_holders(
+        &mut self,
+        protocol: ProtocolKind,
+        block: BlockAddr,
+        entry: Option<&DirEntry>,
+        node: NodeId,
+        cycle: u64,
+        fill: impl FnOnce(&mut Vec<(NodeId, CopyState)>),
+    ) {
         if self.mode == InvariantMode::Off {
             return;
         }
         self.report.checks += 1;
-        for (rule, detail) in block_violations(protocol, block, entry, holders) {
+        let mut holders = std::mem::take(&mut self.holders);
+        holders.clear();
+        fill(&mut holders);
+        for (rule, detail) in copy_violations(protocol, block, entry, &holders) {
             self.record(InvariantViolation {
                 rule,
                 block,
@@ -289,6 +314,7 @@ impl InvariantChecker {
                 detail,
             });
         }
+        self.holders = holders;
     }
 
     /// Record transition-postcondition failures (the `check_*` functions of

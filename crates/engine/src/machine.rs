@@ -8,7 +8,7 @@
 //! traffic).
 
 use ccsim_cache::{Hierarchy, LineState, Probe};
-use ccsim_core::rules::{self, LocalReadExcl, LocalStore};
+use ccsim_core::rules::{self, CopyState, LocalReadExcl, LocalStore};
 use ccsim_core::{DirTable, GrantKind, ReadStep, WriteStep};
 use ccsim_mem::{pages, Store};
 use ccsim_network::{Delivery, Network};
@@ -350,29 +350,22 @@ impl Machine {
         );
     }
 
-    /// All caches currently holding `block`, with their line states.
-    // ccsim-lint: allow(panic-path): node and block indices are bounded by the validated machine geometry
-    fn holders(&self, block: BlockAddr) -> Vec<(NodeId, LineState)> {
-        (0..self.cfg.nodes)
-            .filter_map(|n| self.caches[n as usize].state(block).map(|s| (NodeId(n), s)))
-            .collect()
-    }
-
     /// Post-transaction invariant hook: re-derive SWMR and directory/cache
-    /// agreement for the block the access touched.
+    /// agreement for the block the access touched. The holder list goes
+    /// into the checker's scratch buffer, so a clean check allocates
+    /// nothing.
     fn verify(&mut self, block: BlockAddr, p: NodeId, t: u64) {
         if self.invariants.mode() == InvariantMode::Off {
             return;
         }
-        let entry = self.dir.entry(block).copied();
-        let holders = self.holders(block);
-        self.invariants.check_block(
+        let caches = &self.caches;
+        self.invariants.check_holders(
             self.cfg.protocol.kind,
             block,
-            entry.as_ref(),
-            &holders,
+            self.dir.entry(block),
             p,
             t,
+            |out| holders(caches, block, out),
         );
     }
 
@@ -726,7 +719,7 @@ impl Machine {
                 // Invalidations fan out from the home; acknowledgements
                 // return to the requester, which stalls until the last one
                 // (sequential consistency).
-                for s in invalidate {
+                for s in invalidate.iter() {
                     let ta = self.hop(t, home, s, MsgKind::Inval) + lat.mc;
                     self.caches[s.idx()].invalidate(block);
                     self.fs.on_invalidated(block, s);
@@ -833,16 +826,11 @@ impl Machine {
     pub fn check_block(&self, addr: Addr) -> Result<(), String> {
         let block = self.block_of(addr);
         self.dir.check_invariants()?;
-        let holders = self.holders(block);
-        let entry = self.dir.entry(block).copied();
-        match crate::invariants::block_violations(
-            self.cfg.protocol.kind,
-            block,
-            entry.as_ref(),
-            &holders,
-        )
-        .into_iter()
-        .next()
+        let mut found = Vec::new();
+        holders(&self.caches, block, &mut found);
+        match rules::copy_violations(self.cfg.protocol.kind, block, self.dir.entry(block), &found)
+            .into_iter()
+            .next()
         {
             Some((rule, detail)) => Err(format!("{}: {detail}", rule.label())),
             None => Ok(()),
@@ -867,6 +855,15 @@ impl Machine {
     #[doc(hidden)]
     pub fn corrupt_golden_for_test(&mut self, addr: Addr) {
         self.invariants.corrupt_golden_for_test(addr);
+    }
+}
+
+/// Append every cache holding `block`, with its copy state, to `out`.
+fn holders(caches: &[Hierarchy], block: BlockAddr, out: &mut Vec<(NodeId, CopyState)>) {
+    for (n, cache) in caches.iter().enumerate() {
+        if let Some(s) = cache.state(block) {
+            out.push((NodeId(n as u16), copy_state(s)));
+        }
     }
 }
 

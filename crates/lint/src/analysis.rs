@@ -196,7 +196,7 @@ impl Replay {
                 if data_needed {
                     self.fs.on_miss(block, addr, p);
                 }
-                for s in invalidate {
+                for s in invalidate.iter() {
                     self.caches[s.idx()].invalidate(block);
                     self.fs.on_invalidated(block, s);
                 }

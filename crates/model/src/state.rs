@@ -619,7 +619,7 @@ fn global_acquire(
     let own_val = b.copies[pi].map(|c| c.val);
     match rules::write(pcfg, stats, &mut b.entry, p) {
         WriteStep::Memory { invalidate, .. } => {
-            for n in invalidate {
+            for n in invalidate.iter() {
                 b.copies[n.0 as usize] = None;
             }
             // Data comes from the requester's own shared copy on an

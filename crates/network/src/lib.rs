@@ -15,7 +15,7 @@
 //! read/write/other [`MsgClass`] categories.
 
 use ccsim_types::{FaultConfig, LatencyConfig, MsgClass, MsgKind, NodeId, Topology};
-use ccsim_util::{FromJson, FxHashMap, Json, ToJson, Xoshiro256pp};
+use ccsim_util::{FromJson, Json, ToJson, Xoshiro256pp};
 
 /// Injection bandwidth of a network interface (bytes per cycle).
 pub const LINK_BYTES_PER_CYCLE: u64 = 8;
@@ -34,7 +34,9 @@ pub struct Traffic {
     write: ClassCounters,
     other: ClassCounters,
     invalidations: u64,
-    by_kind: std::collections::BTreeMap<&'static str, u64>,
+    /// Messages per kind, indexed by `MsgKind as usize` (see
+    /// [`MsgKind::ALL`]): one add per message, no lookup.
+    by_kind: [u64; MsgKind::ALL.len()],
 }
 
 impl Traffic {
@@ -72,7 +74,7 @@ impl Traffic {
 
     /// Count of one message kind (diagnostics).
     pub fn kind_count(&self, kind: MsgKind) -> u64 {
-        *self.by_kind.get(kind_name(kind)).unwrap_or(&0)
+        self.by_kind[kind as usize]
     }
 
     fn record(&mut self, kind: MsgKind, block_bytes: u64) {
@@ -82,7 +84,7 @@ impl Traffic {
         if kind.is_invalidation() {
             self.invalidations += 1;
         }
-        *self.by_kind.entry(kind_name(kind)).or_insert(0) += 1;
+        self.by_kind[kind as usize] += 1;
     }
 
     /// Merge another traffic tally into this one.
@@ -94,8 +96,8 @@ impl Traffic {
             m.bytes += o.bytes;
         }
         self.invalidations += other.invalidations;
-        for (k, v) in &other.by_kind {
-            *self.by_kind.entry(k).or_insert(0) += v;
+        for (m, o) in self.by_kind.iter_mut().zip(other.by_kind) {
+            *m += o;
         }
     }
 }
@@ -119,7 +121,14 @@ impl FromJson for ClassCounters {
 }
 
 impl ToJson for Traffic {
+    /// `by_kind` lists the kinds that were sent, sorted by name.
     fn to_json(&self) -> Json {
+        let mut by_kind: Vec<(&str, u64)> = MsgKind::ALL
+            .into_iter()
+            .map(|k| (kind_name(k), self.by_kind[k as usize]))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        by_kind.sort_unstable_by_key(|&(name, _)| name);
         Json::obj(vec![
             ("read", self.read.to_json()),
             ("write", self.write.to_json()),
@@ -128,8 +137,8 @@ impl ToJson for Traffic {
             (
                 "by_kind",
                 Json::Obj(
-                    self.by_kind
-                        .iter()
+                    by_kind
+                        .into_iter()
                         .map(|(k, v)| (k.to_string(), v.to_json()))
                         .collect(),
                 ),
@@ -139,12 +148,15 @@ impl ToJson for Traffic {
 }
 
 impl FromJson for Traffic {
+    /// An unknown kind name fails the decode rather than dropping counters.
     fn from_json(j: &Json) -> Result<Self, String> {
-        let mut by_kind = std::collections::BTreeMap::new();
+        let mut by_kind = [0; MsgKind::ALL.len()];
         for (k, v) in j.req("by_kind")?.as_obj()? {
-            let name = intern_kind_name(k)
+            let kind = MsgKind::ALL
+                .into_iter()
+                .find(|&kind| kind_name(kind) == k)
                 .ok_or_else(|| format!("unknown message kind `{k}` in traffic"))?;
-            by_kind.insert(name, v.as_u64()?);
+            by_kind[kind as usize] = v.as_u64()?;
         }
         Ok(Traffic {
             read: j.field("read")?,
@@ -154,35 +166,6 @@ impl FromJson for Traffic {
             by_kind,
         })
     }
-}
-
-/// Map a decoded kind name back onto the `'static` key [`Traffic::by_kind`]
-/// uses internally. `None` for names no [`MsgKind`] produces — a decode of
-/// such data fails loudly rather than dropping counters.
-fn intern_kind_name(s: &str) -> Option<&'static str> {
-    use MsgKind::*;
-    const ALL: [MsgKind; 19] = [
-        ReadReq,
-        ReadReply,
-        ReadExclReply,
-        ReadForward,
-        OwnerReply,
-        SharingWriteback,
-        UpgradeReq,
-        UpgradeAck,
-        WriteMissReq,
-        WriteMissReply,
-        WriteForward,
-        OwnerWriteReply,
-        Inval,
-        InvalAck,
-        ReplWriteback,
-        ReplHint,
-        NotLs,
-        Retry,
-        Ack,
-    ];
-    ALL.into_iter().map(kind_name).find(|&n| n == s)
 }
 
 fn kind_name(kind: MsgKind) -> &'static str {
@@ -337,17 +320,23 @@ struct FaultPlan {
     cfg: FaultConfig,
     rng: Xoshiro256pp,
     consecutive_nacks: u32,
-    flows: FxHashMap<(NodeId, NodeId), FlowState>,
+    /// Per-(src,dst) flow state, dense by `src * nodes + dst`; a flow is
+    /// created on its first sequenced message.
+    flows: Vec<Option<FlowState>>,
+    nodes: usize,
     stats: FaultStats,
 }
 
 impl FaultPlan {
-    fn new(cfg: FaultConfig) -> Self {
+    fn new(cfg: FaultConfig, nodes: usize) -> Self {
         FaultPlan {
             cfg,
             rng: Xoshiro256pp::seed_from_u64(cfg.seed),
             consecutive_nacks: 0,
-            flows: FxHashMap::default(),
+            flows: std::iter::repeat_with(|| None)
+                .take(nodes * nodes)
+                .collect(),
+            nodes,
             stats: FaultStats::default(),
         }
     }
@@ -358,9 +347,7 @@ impl FaultPlan {
         let seed = self.cfg.seed
             ^ (from.0 as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ (to.0 as u64 + 1).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        self.flows
-            .entry((from, to))
-            .or_insert_with(|| FlowState::new(seed))
+        self.flows[from.idx() * self.nodes + to.idx()].get_or_insert_with(|| FlowState::new(seed))
     }
 
     /// Should the next request be NACKed? Consumes randomness only when the
@@ -436,11 +423,9 @@ pub struct Network {
     topology: Topology,
     /// Cycle until which each node's NI is busy injecting.
     ni_busy_until: Vec<u64>,
-    /// Cycle until which each directed link is busy (mesh contention).
-    /// Deterministically hashed: a `RandomState` map here would not change
-    /// timing (lookups are per-link), but it is exactly the kind of latent
-    /// iteration-order hazard `ccsim lint` bans workspace-wide.
-    link_busy_until: FxHashMap<(NodeId, NodeId), u64>,
+    /// Cycle until which each directed link `(a, b)` is busy (mesh
+    /// contention), dense by `a * nodes + b`.
+    link_busy_until: Vec<u64>,
     traffic: Traffic,
     /// Fault injector; `None` when the plan is disabled, in which case no
     /// randomness is ever consumed and timing is exactly the fault-free
@@ -487,7 +472,7 @@ impl Network {
             block_bytes,
             topology,
             ni_busy_until: vec![0; nodes as usize],
-            link_busy_until: FxHashMap::default(),
+            link_busy_until: vec![0; nodes as usize * nodes as usize],
             traffic: Traffic::default(),
             faults: None,
             #[cfg(feature = "testing")]
@@ -500,7 +485,7 @@ impl Network {
     /// is ignored, keeping the fault-free fast path bit-identical.
     pub fn install_faults(&mut self, cfg: FaultConfig) {
         self.faults = if cfg.enabled() {
-            Some(FaultPlan::new(cfg))
+            Some(FaultPlan::new(cfg, self.ni_busy_until.len()))
         } else {
             None
         };
@@ -544,13 +529,16 @@ impl Network {
         let Some(f) = &self.faults else {
             return Vec::new();
         };
-        let mut rows: Vec<_> = f
-            .flows
+        let n = f.nodes;
+        f.flows
             .iter()
-            .map(|(&(a, b), st)| (a, b, st.next_seq, st.next_expected, st.reorder_buf.len()))
-            .collect();
-        rows.sort_by_key(|&(a, b, ..)| (a.0, b.0));
-        rows
+            .enumerate()
+            .filter_map(|(i, st)| {
+                let st = st.as_ref()?;
+                let (a, b) = (NodeId((i / n) as u16), NodeId((i % n) as u16));
+                Some((a, b, st.next_seq, st.next_expected, st.reorder_buf.len()))
+            })
+            .collect()
     }
 
     /// Send one message at simulated time `now`; returns its arrival time at
@@ -575,8 +563,9 @@ impl Network {
         // Traverse the route, booking each link (wormhole cut-through: the
         // header advances one `net` delay per link; the body's occupancy
         // trails behind and is what later messages queue on).
-        for link in self.topology.route(from, to) {
-            let busy = self.link_busy_until.entry(link).or_insert(0);
+        let nodes = self.ni_busy_until.len();
+        for (a, b) in self.topology.route(from, to) {
+            let busy = &mut self.link_busy_until[a.idx() * nodes + b.idx()];
             let start = (*busy).max(t);
             *busy = start + occupancy;
             t = start + self.latency.net;
@@ -889,6 +878,17 @@ mod tests {
         let t = n.traffic().clone();
         let back = Traffic::from_json(&Json::parse(&t.to_json().to_string()).unwrap()).unwrap();
         assert_eq!(back, t);
+        // `by_kind` lists the kinds sent, by name rather than declaration
+        // order, as the canonical JSON always has.
+        let json = t.to_json();
+        let names: Vec<&str> = json
+            .get("by_kind")
+            .and_then(|j| j.as_obj().ok())
+            .expect("by_kind object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(names, ["Inval", "ReadReply", "SharingWriteback"]);
         // Unknown kinds must fail the decode, not vanish.
         let mut j = t.to_json();
         if let Json::Obj(fields) = &mut j {

@@ -183,7 +183,7 @@ fn mesh_routes_are_shortest() {
         let width = *g.pick(&[1u16, 2, 4]); // divisors of 16: full rows only
         let t = Topology::Mesh2D { width };
         let route = t.route(NodeId(from), NodeId(to));
-        assert_eq!(route.len() as u64, t.hops(NodeId(from), NodeId(to)));
+        assert_eq!(route.count() as u64, t.hops(NodeId(from), NodeId(to)));
         let mut cur = NodeId(from);
         for (a, b) in route {
             assert_eq!(a, cur);

@@ -28,6 +28,11 @@
 //! topological-sort pass, whose failure to order the graph is exactly a
 //! sequential-consistency violation and yields a minimal witness cycle.
 //!
+//! That graph is built only when a read observes an older version of its
+//! word. Until then every edge points forward, and a linear pass that
+//! keeps just the newest version per word gives the identical counters
+//! and witness (see `analyze_latest`).
+//!
 //! # Axioms checked
 //!
 //! * **ReadValue** — every read's value matches some logged write/init of
@@ -50,7 +55,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use ccsim_engine::{EventKind, EventLog};
-use ccsim_util::{fnv1a64, FxHashMap};
+use ccsim_util::{fnv1a64, Fnv1a, FxHashMap};
 
 use crate::{RaceReport, ViolationKind};
 
@@ -115,7 +120,108 @@ impl WordState {
     }
 }
 
+/// Linear-pass word state: just the newest version, which is all a log
+/// whose every read observes the newest value ever needs.
+#[derive(Clone, Copy, Default)]
+struct LatestWord {
+    value: u64,
+    /// The newest version has a logged writer (not the implicit zero-fill).
+    written: bool,
+    /// Reads of the newest version awaiting their from-read edge.
+    readers: u64,
+}
+
+/// The happens-before analysis: the linear path when it applies, the graph
+/// path otherwise. Both produce the same report for a log the linear path
+/// accepts.
 pub(crate) fn analyze(log: &EventLog, report: &mut RaceReport) {
+    let saved = report.counts;
+    if !analyze_latest(log, report) {
+        report.counts = saved;
+        analyze_graph(log, report);
+    }
+}
+
+/// The linear path: one pass, no per-event state, valid whenever every read
+/// observes the newest version of its word — always the case for engine
+/// logs, whose flat store only ever returns the newest value. Returns
+/// `false`, leaving `report.counts` partially filled, as soon as a read
+/// observes anything else; [`analyze_graph`] then redoes the analysis.
+///
+/// Why the result is exact: every hb edge [`analyze_graph`] would build then
+/// points forward in log order (po, ack, co and rf come from earlier events,
+/// and every fr edge goes from a read of the newest version to the next
+/// write). No read is stale, so none of CoWR, CoRR or ReadValue can fire,
+/// and the smallest-id-first topological order of a forward-only graph is
+/// the log order itself: event `k` is always the smallest unordered event
+/// and all its predecessors are smaller. The edge counters are tallied
+/// without materializing the edges.
+fn analyze_latest(log: &EventLog, report: &mut RaceReport) -> bool {
+    let nodes = (log.nodes() as usize).max(1);
+    let c = &mut report.counts;
+    c.events = log.len() as u64;
+    let mut seen_proc = vec![false; nodes];
+    let mut seen_init = false;
+    let mut group = 0u64;
+    let mut words: FxHashMap<u64, LatestWord> = FxHashMap::default();
+    let mut order = Fnv1a::new();
+
+    for (id, ev) in log.events().iter().enumerate() {
+        let p = ev.proc.idx();
+        let is_init = matches!(ev.kind, EventKind::Init { .. });
+        let is_access = ev.kind.is_access();
+        if seen_proc[p] || (seen_init && !is_init) {
+            c.po_edges += 1;
+        }
+        if is_access {
+            c.ack_edges += group;
+            group = 0;
+        }
+        match ev.kind {
+            EventKind::Init { addr, value } | EventKind::Write { addr, value, .. } => {
+                let w = words.entry(addr.word_index()).or_default();
+                c.co_edges += w.written as u64;
+                c.fr_edges += w.readers;
+                *w = LatestWord {
+                    value,
+                    written: true,
+                    readers: 0,
+                };
+            }
+            EventKind::Read { addr, value, .. } | EventKind::ReadExcl { addr, value, .. } => {
+                let w = words.entry(addr.word_index()).or_default();
+                if w.value != value {
+                    return false;
+                }
+                c.rf_edges += w.written as u64;
+                w.readers += 1;
+            }
+            _ => {}
+        }
+        seen_proc[p] = true;
+        seen_init |= is_init;
+        if !is_access && !is_init {
+            group += 1;
+        }
+        if is_access {
+            c.accesses += 1;
+            match ev.kind {
+                EventKind::Write { .. } => c.writes += 1,
+                _ => c.reads += 1,
+            }
+        }
+        order.update(&(id as u32).to_le_bytes());
+    }
+    c.words = words.len() as u64;
+    report.sc_fingerprint = Some(order.finish());
+    true
+}
+
+/// The general path: materializes the happens-before graph with vector
+/// clocks, checks every axiom with witnesses, and orders the graph with a
+/// smallest-id-first topological sort. Only logs with a read of an older
+/// version (crafted ones) reach it.
+fn analyze_graph(log: &EventLog, report: &mut RaceReport) {
     let events = log.events();
     let n = events.len();
     let nodes = (log.nodes() as usize).max(1);
@@ -453,6 +559,141 @@ mod tests {
         assert!(coww_violates(&[2, 5], 1, 4));
         // w2 = P1's event 6 is NOT hb-before w1: consistent.
         assert!(!coww_violates(&[2, 5], 1, 6));
+    }
+
+    /// Both paths over one log; the linear one must apply.
+    fn both_paths(log: &EventLog) -> (RaceReport, RaceReport) {
+        let mut linear = RaceReport::default();
+        assert!(
+            analyze_latest(log, &mut linear),
+            "every read observes the newest value, so the linear path applies"
+        );
+        let mut graph = RaceReport::default();
+        analyze_graph(log, &mut graph);
+        (linear, graph)
+    }
+
+    #[test]
+    fn linear_path_matches_the_graph_path_on_engine_logs() {
+        use ccsim_types::{MachineConfig, ProtocolKind};
+        use ccsim_workloads::{capture_events_spec, lu, mp3d, Spec};
+        let specs = [
+            Spec::Mp3d(mp3d::Mp3dParams::quick()),
+            Spec::Lu(lu::LuParams::quick()),
+        ];
+        for kind in ProtocolKind::ALL {
+            for spec in &specs {
+                let (_, log) = capture_events_spec(MachineConfig::splash_baseline(kind), spec);
+                let (linear, graph) = both_paths(&log);
+                assert_eq!(linear.counts, graph.counts, "{kind:?} {}", spec.name());
+                assert_eq!(linear.sc_fingerprint, graph.sc_fingerprint);
+                assert!(graph.is_clean());
+            }
+        }
+    }
+
+    #[test]
+    fn linear_path_matches_the_graph_path_on_random_newest_value_logs() {
+        use ccsim_core::rules::CopyState;
+        use ccsim_engine::{CoherenceEvent, WriteHow};
+        use ccsim_types::{Addr, NodeId};
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for _ in 0..300 {
+            let nodes = 1 + draw(4) as u16;
+            let mut newest = [0u64; 6];
+            let mut events = Vec::new();
+            for _ in 0..draw(60) {
+                let proc = NodeId(draw(nodes as u64) as u16);
+                let w = draw(6) as usize;
+                let addr = Addr(0x100 + 8 * w as u64);
+                let value = draw(5);
+                let kind = match draw(5) {
+                    0 => {
+                        newest[w] = value;
+                        EventKind::Init { addr, value }
+                    }
+                    1 => {
+                        newest[w] = value;
+                        EventKind::Write {
+                            addr,
+                            value,
+                            how: WriteHow::Global,
+                            ls: false,
+                            mig: false,
+                        }
+                    }
+                    2 => EventKind::ReadExcl {
+                        addr,
+                        value: newest[w],
+                        hit: false,
+                    },
+                    3 => EventKind::Fill {
+                        block: addr.block(32),
+                        state: CopyState::Shared,
+                    },
+                    _ => EventKind::Read {
+                        addr,
+                        value: newest[w],
+                        hit: true,
+                        grant: ccsim_core::GrantKind::Shared,
+                        notls: false,
+                    },
+                };
+                events.push(CoherenceEvent { proc, kind });
+            }
+            let log = EventLog::from_events(nodes, 32, events).expect("valid crafted log");
+            let (linear, graph) = both_paths(&log);
+            assert_eq!(linear.counts, graph.counts);
+            assert_eq!(linear.sc_fingerprint, graph.sc_fingerprint);
+            assert!(graph.violations.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_stale_read_takes_the_graph_path() {
+        use ccsim_engine::{CoherenceEvent, WriteHow};
+        use ccsim_types::{Addr, NodeId};
+        let a = Addr(0x100);
+        let write = |value| EventKind::Write {
+            addr: a,
+            value,
+            how: WriteHow::DirtyHit,
+            ls: false,
+            mig: false,
+        };
+        let events = [
+            (0, write(1)),
+            (0, write(2)),
+            (
+                1,
+                EventKind::Read {
+                    addr: a,
+                    value: 1,
+                    hit: true,
+                    grant: ccsim_core::GrantKind::Shared,
+                    notls: false,
+                },
+            ),
+        ]
+        .map(|(p, kind)| CoherenceEvent {
+            proc: NodeId(p),
+            kind,
+        });
+        let log = EventLog::from_events(2, 32, events.to_vec()).expect("valid crafted log");
+        assert!(!analyze_latest(&log, &mut RaceReport::default()));
+        let mut via_analyze = RaceReport::default();
+        analyze(&log, &mut via_analyze);
+        let mut graph = RaceReport::default();
+        analyze_graph(&log, &mut graph);
+        assert_eq!(via_analyze.counts, graph.counts);
+        assert_eq!(via_analyze.sc_fingerprint, graph.sc_fingerprint);
+        assert_eq!(via_analyze.violations.len(), graph.violations.len());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //!
 //! Input: the structured [`EventLog`] the engine captures behind
 //! `SimBuilder::capture_events` (or `replay_events` for a stored trace).
-//! The analyzer makes one deterministic pass in `O(events × nodes)`:
+//! The analyzer makes one deterministic pass, `O(events)` when every read
+//! observes the newest value of its word (always true of engine logs) and
+//! `O(events × nodes)` otherwise:
 //!
 //! 1. [`hb`] builds the happens-before graph (program order, reads-from,
 //!    coherence order, from-read, invalidation-acknowledgement edges),

@@ -50,8 +50,9 @@ struct Copy {
     stale: Option<u32>,
 }
 
+/// One block's shadow directory entry and §2 mirror. Its tracked copies
+/// live in [`Blocks::copies`].
 struct Block {
-    copies: Vec<Option<Copy>>,
     entry: DirEntry,
     /// §2 mirror: last global access to the block (node, was-read, event).
     last: Option<(NodeId, bool, u32)>,
@@ -62,22 +63,63 @@ struct Block {
 }
 
 impl Block {
-    fn new(cfg: &ProtocolConfig, nodes: usize) -> Self {
+    fn new(cfg: &ProtocolConfig) -> Self {
         Block {
-            copies: vec![None; nodes],
             entry: rules::fresh_entry(cfg),
             last: None,
             prev_seq: None,
             last_access: None,
         }
     }
+}
 
-    fn exclusive_holder(&self) -> Option<(usize, Copy)> {
-        self.copies.iter().enumerate().find_map(|(q, c)| match c {
-            Some(c) if c.state != CopyState::Shared => Some((q, *c)),
-            _ => None,
-        })
+/// Every block the log touches, numbered densely in first-touch order: one
+/// hash lookup per block reference, then plain indexing into flat arrays.
+struct Blocks {
+    index: FxHashMap<BlockAddr, u32>,
+    meta: Vec<Block>,
+    /// `nodes` tracked-copy slots per block, block-major.
+    copies: Vec<Option<Copy>>,
+    nodes: usize,
+}
+
+impl Blocks {
+    fn new(nodes: usize) -> Self {
+        Blocks {
+            index: FxHashMap::default(),
+            meta: Vec::new(),
+            copies: Vec::new(),
+            nodes,
+        }
     }
+
+    /// The dense slot of `block`, created on first touch.
+    fn slot(&mut self, cfg: &ProtocolConfig, block: BlockAddr) -> usize {
+        let next = self.meta.len();
+        let slot = *self.index.entry(block).or_insert(next as u32) as usize;
+        if slot == next {
+            self.meta.push(Block::new(cfg));
+            self.copies.resize(self.copies.len() + self.nodes, None);
+        }
+        slot
+    }
+
+    /// The block in `slot` and its per-node copy slots.
+    fn get(&mut self, slot: usize) -> (&mut Block, &mut [Option<Copy>]) {
+        let n = self.nodes;
+        (
+            &mut self.meta[slot],
+            &mut self.copies[slot * n..(slot + 1) * n],
+        )
+    }
+}
+
+/// The node holding a non-`Shared` copy, if any.
+fn exclusive_holder(copies: &[Option<Copy>]) -> Option<(usize, Copy)> {
+    copies.iter().enumerate().find_map(|(q, c)| match c {
+        Some(c) if c.state != CopyState::Shared => Some((q, *c)),
+        _ => None,
+    })
 }
 
 pub(crate) fn analyze(protocol: &ProtocolConfig, log: &EventLog, report: &mut RaceReport) {
@@ -91,9 +133,12 @@ pub(crate) fn analyze(protocol: &ProtocolConfig, log: &EventLog, report: &mut Ra
     let bb = log.block_bytes();
     let events = log.events();
     let mut scratch = DirStats::default();
-    let mut blocks: FxHashMap<BlockAddr, Block> = FxHashMap::default();
+    let mut blocks = Blocks::new(nodes);
+    // Per-transaction scratch, reused so a clean log is checked without
+    // per-transaction allocation.
     let mut group: Vec<u32> = Vec::new();
-
+    let mut pre: Vec<Option<Copy>> = Vec::with_capacity(nodes);
+    let mut fx = GroupFx::default();
     for (id, ev) in events.iter().enumerate() {
         match ev.kind {
             EventKind::Init { .. } => {}
@@ -103,7 +148,8 @@ pub(crate) fn analyze(protocol: &ProtocolConfig, log: &EventLog, report: &mut Ra
                     &cfg,
                     &mut scratch,
                     &mut blocks,
-                    nodes,
+                    &mut pre,
+                    &mut fx,
                     bb,
                     events,
                     &group,
@@ -114,7 +160,7 @@ pub(crate) fn analyze(protocol: &ProtocolConfig, log: &EventLog, report: &mut Ra
             }
         }
     }
-    report.counts.blocks = blocks.len() as u64;
+    report.counts.blocks = blocks.meta.len() as u64;
 }
 
 /// Access-block side effects of one transaction group.
@@ -126,12 +172,25 @@ struct GroupFx {
     fills: Vec<(NodeId, CopyState, u32)>,
 }
 
+impl GroupFx {
+    fn clear(&mut self) {
+        self.invals.clear();
+        self.downgrades.clear();
+        self.notls.clear();
+        self.fills.clear();
+    }
+}
+
+/// Check one transaction: the side-effect events in `group`, then the
+/// access event `aid`. `pre` (the access block's copies before the
+/// transaction) and `fx` are scratch, overwritten on every call.
 #[allow(clippy::too_many_arguments)]
 fn check_group(
     cfg: &ProtocolConfig,
     scratch: &mut DirStats,
-    blocks: &mut FxHashMap<BlockAddr, Block>,
-    nodes: usize,
+    blocks: &mut Blocks,
+    pre: &mut Vec<Option<Copy>>,
+    fx: &mut GroupFx,
     bb: u64,
     events: &[CoherenceEvent],
     group: &[u32],
@@ -152,15 +211,14 @@ fn check_group(
     // Evictions are replacements of *other* blocks (the fill victim);
     // apply them first so they don't entangle with the access block's
     // borrow. Replacement is a spec transition too.
-    let mut fx = GroupFx::default();
+    fx.clear();
     for &g in group {
         let e = &events[g as usize];
         match e.kind {
             EventKind::Evict { block } => {
-                let bt = blocks
-                    .entry(block)
-                    .or_insert_with(|| Block::new(cfg, nodes));
-                bt.copies[e.proc.idx()] = None;
+                let slot = blocks.slot(cfg, block);
+                let (bt, copies) = blocks.get(slot);
+                copies[e.proc.idx()] = None;
                 rules::replacement(cfg, scratch, &mut bt.entry, e.proc);
             }
             EventKind::Inval { block, .. } if block == ablock => {
@@ -179,10 +237,12 @@ fn check_group(
         }
     }
 
-    let bt = blocks
-        .entry(ablock)
-        .or_insert_with(|| Block::new(cfg, nodes));
-    let pre = bt.copies.clone();
+    let slot = blocks.slot(cfg, ablock);
+    let (bt, copies) = blocks.get(slot);
+    pre.clear();
+    pre.extend_from_slice(copies);
+    let pre = &pre[..];
+    let fx = &*fx;
     let mut diverged = false;
     let wit2 = |first: Option<u32>| -> Vec<u32> {
         match first {
@@ -307,12 +367,12 @@ fn check_group(
                 cfg,
                 scratch,
                 bt,
-                &pre,
+                pre,
                 p,
                 aid,
                 grant,
                 notls,
-                &fx,
+                fx,
                 key,
                 report,
                 &mut diverged,
@@ -353,10 +413,10 @@ fn check_group(
                 cfg,
                 scratch,
                 bt,
-                &pre,
+                pre,
                 p,
                 aid,
-                &fx,
+                fx,
                 key,
                 report,
                 &mut diverged,
@@ -375,10 +435,10 @@ fn check_group(
                 cfg,
                 scratch,
                 bt,
-                &pre,
+                pre,
                 p,
                 aid,
-                &fx,
+                fx,
                 key,
                 report,
                 &mut diverged,
@@ -415,7 +475,7 @@ fn check_group(
                 if state != CopyState::Shared {
                     // SWMR: an exclusive install must stand alone; any
                     // survivor is now provably stale.
-                    for (r, c) in bt.copies.iter_mut().enumerate() {
+                    for (r, c) in copies.iter_mut().enumerate() {
                         if r == q {
                             continue;
                         }
@@ -436,7 +496,7 @@ fn check_group(
                             }
                         }
                     }
-                } else if let Some((r, c)) = bt.exclusive_holder() {
+                } else if let Some((r, c)) = exclusive_holder(copies) {
                     if r != q {
                         diverged = true;
                         report.push(
@@ -451,17 +511,17 @@ fn check_group(
                         );
                     }
                 }
-                bt.copies[q] = Some(Copy {
+                copies[q] = Some(Copy {
                     state,
                     fill: g,
                     stale: None,
                 });
             }
             EventKind::Inval { block, .. } if block == ablock => {
-                bt.copies[e.proc.idx()] = None;
+                copies[e.proc.idx()] = None;
             }
             EventKind::Downgrade { block, .. } if block == ablock => {
-                if let Some(c) = &mut bt.copies[e.proc.idx()] {
+                if let Some(c) = &mut copies[e.proc.idx()] {
                     c.state = CopyState::Shared;
                 }
             }
@@ -472,11 +532,11 @@ fn check_group(
     // Access effect + staleness poisoning after writes.
     if let EventKind::Write { how, .. } = access.kind {
         if how == WriteHow::Silent {
-            if let Some(c) = &mut bt.copies[p.idx()] {
+            if let Some(c) = &mut copies[p.idx()] {
                 c.state = CopyState::Modified;
             }
         }
-        for (r, c) in bt.copies.iter_mut().enumerate() {
+        for (r, c) in copies.iter_mut().enumerate() {
             if r == p.idx() {
                 continue;
             }
@@ -498,7 +558,7 @@ fn check_group(
     // Re-seat the shadow directory on the observed copy set after a
     // divergence, keeping the spec's tag/LR/vote heuristics.
     if diverged {
-        match bt.exclusive_holder() {
+        match exclusive_holder(copies) {
             Some((q, _)) => {
                 let owner = NodeId(q as u16);
                 bt.entry.state = HomeState::Owned(owner);
@@ -506,7 +566,7 @@ fn check_group(
             }
             None => {
                 let mut s = SharerSet::EMPTY;
-                for (q, c) in bt.copies.iter().enumerate() {
+                for (q, c) in copies.iter().enumerate() {
                     if c.is_some() {
                         s.insert(NodeId(q as u16));
                     }
@@ -699,8 +759,8 @@ fn predict_acquire(
 ) {
     match rules::write(cfg, scratch, &mut bt.entry, p) {
         WriteStep::Memory { invalidate, .. } => {
-            for v in &invalidate {
-                if !fx.invals.iter().any(|&(q, _)| q == *v) {
+            for v in invalidate.iter() {
+                if !fx.invals.iter().any(|&(q, _)| q == v) {
                     *diverged = true;
                     report.push(
                         ViolationKind::MissingInval,
@@ -717,7 +777,7 @@ fn predict_acquire(
                 }
             }
             for &(q, g) in &fx.invals {
-                if !invalidate.contains(&q) {
+                if !invalidate.contains(q) {
                     *diverged = true;
                     report.push(
                         ViolationKind::SpuriousInval,

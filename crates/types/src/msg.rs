@@ -85,6 +85,30 @@ pub enum MsgKind {
 }
 
 impl MsgKind {
+    /// Every kind, in declaration order: `ALL[k as usize] == k`, so a kind
+    /// indexes dense per-kind tables directly.
+    pub const ALL: [MsgKind; 19] = [
+        MsgKind::ReadReq,
+        MsgKind::ReadReply,
+        MsgKind::ReadExclReply,
+        MsgKind::ReadForward,
+        MsgKind::OwnerReply,
+        MsgKind::SharingWriteback,
+        MsgKind::UpgradeReq,
+        MsgKind::UpgradeAck,
+        MsgKind::WriteMissReq,
+        MsgKind::WriteMissReply,
+        MsgKind::WriteForward,
+        MsgKind::OwnerWriteReply,
+        MsgKind::Inval,
+        MsgKind::InvalAck,
+        MsgKind::ReplWriteback,
+        MsgKind::ReplHint,
+        MsgKind::NotLs,
+        MsgKind::Retry,
+        MsgKind::Ack,
+    ];
+
     /// Traffic class for the paper's read/write/other split.
     pub fn class(self) -> MsgClass {
         use MsgKind::*;
@@ -136,33 +160,18 @@ impl MsgKind {
 mod tests {
     use super::*;
 
-    const ALL_KINDS: [MsgKind; 19] = [
-        MsgKind::ReadReq,
-        MsgKind::ReadReply,
-        MsgKind::ReadExclReply,
-        MsgKind::ReadForward,
-        MsgKind::OwnerReply,
-        MsgKind::SharingWriteback,
-        MsgKind::UpgradeReq,
-        MsgKind::UpgradeAck,
-        MsgKind::WriteMissReq,
-        MsgKind::WriteMissReply,
-        MsgKind::WriteForward,
-        MsgKind::OwnerWriteReply,
-        MsgKind::Inval,
-        MsgKind::InvalAck,
-        MsgKind::ReplWriteback,
-        MsgKind::ReplHint,
-        MsgKind::NotLs,
-        MsgKind::Retry,
-        MsgKind::Ack,
-    ];
-
     #[test]
     fn every_kind_has_a_class_and_size() {
-        for k in ALL_KINDS {
+        for k in MsgKind::ALL {
             let _ = k.class();
             assert!(k.size_bytes(32) >= 8);
+        }
+    }
+
+    #[test]
+    fn all_kinds_are_listed_in_declaration_order() {
+        for (i, k) in MsgKind::ALL.into_iter().enumerate() {
+            assert_eq!(k as usize, i, "{k:?} is out of place in MsgKind::ALL");
         }
     }
 

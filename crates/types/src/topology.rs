@@ -43,32 +43,13 @@ impl Topology {
     }
 
     /// The sequence of directed links (as node pairs) a message traverses
-    /// under dimension-ordered routing. Empty for a local transfer.
-    pub fn route(self, from: NodeId, to: NodeId) -> Vec<(NodeId, NodeId)> {
-        if from == to {
-            return Vec::new();
-        }
-        match self {
-            Topology::PointToPoint => vec![(from, to)],
-            Topology::Mesh2D { width } => {
-                let mut links = Vec::new();
-                let (mut x, mut y) = self.coords(from);
-                let (tx, ty) = self.coords(to);
-                let mut cur = from;
-                while x != tx {
-                    x = if x < tx { x + 1 } else { x - 1 };
-                    let next = NodeId(y * width + x);
-                    links.push((cur, next));
-                    cur = next;
-                }
-                while y != ty {
-                    y = if y < ty { y + 1 } else { y - 1 };
-                    let next = NodeId(y * width + x);
-                    links.push((cur, next));
-                    cur = next;
-                }
-                links
-            }
+    /// under dimension-ordered routing. Empty for a local transfer. An
+    /// iterator, so the network's per-message path does not allocate.
+    pub fn route(self, from: NodeId, to: NodeId) -> Route {
+        Route {
+            topology: self,
+            cur: from,
+            to,
         }
     }
 
@@ -89,6 +70,41 @@ impl Topology {
     }
 }
 
+/// The links of one dimension-ordered route (X first, then Y), yielded
+/// hop by hop. Built by [`Topology::route`].
+#[derive(Clone, Copy, Debug)]
+pub struct Route {
+    topology: Topology,
+    cur: NodeId,
+    to: NodeId,
+}
+
+impl Iterator for Route {
+    type Item = (NodeId, NodeId);
+
+    fn next(&mut self) -> Option<(NodeId, NodeId)> {
+        if self.cur == self.to {
+            return None;
+        }
+        let next = match self.topology {
+            Topology::PointToPoint => self.to,
+            Topology::Mesh2D { width } => {
+                let (x, y) = self.topology.coords(self.cur);
+                let (tx, ty) = self.topology.coords(self.to);
+                let step = |a: u16, b: u16| if a < b { a + 1 } else { a - 1 };
+                if x != tx {
+                    NodeId(y * width + step(x, tx))
+                } else {
+                    NodeId(step(y, ty) * width + x)
+                }
+            }
+        };
+        let link = (self.cur, next);
+        self.cur = next;
+        Some(link)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,7 +114,7 @@ mod tests {
         let t = Topology::PointToPoint;
         assert_eq!(t.hops(NodeId(0), NodeId(3)), 1);
         assert_eq!(t.hops(NodeId(2), NodeId(2)), 0);
-        assert_eq!(t.route(NodeId(0), NodeId(3)), vec![(NodeId(0), NodeId(3))]);
+        assert!(t.route(NodeId(0), NodeId(3)).eq([(NodeId(0), NodeId(3))]));
     }
 
     #[test]
@@ -114,7 +130,7 @@ mod tests {
     #[test]
     fn mesh_routing_is_x_then_y() {
         let t = Topology::Mesh2D { width: 4 };
-        let r = t.route(NodeId(0), NodeId(6));
+        let r: Vec<_> = t.route(NodeId(0), NodeId(6)).collect();
         // (0,0) -> (1,0) -> (2,0) -> (2,1).
         assert_eq!(
             r,
@@ -128,7 +144,7 @@ mod tests {
         for a in 0..8u16 {
             for b in 0..8u16 {
                 assert_eq!(
-                    t.route(NodeId(a), NodeId(b)).len() as u64,
+                    t.route(NodeId(a), NodeId(b)).count() as u64,
                     t.hops(NodeId(a), NodeId(b))
                 );
             }
