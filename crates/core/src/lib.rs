@@ -56,16 +56,16 @@
 //! evictions that break the two-copy pattern silently disable it — the
 //! effect the paper demonstrates on Cholesky and OLTP.
 
-pub mod directory;
 pub mod entry;
 pub mod outcome;
 pub mod rules;
+pub mod stats;
 pub mod table;
 
-pub use directory::{DirStats, Directory};
 pub use entry::{DirEntry, Fig1State, HomeState, SharerSet};
 pub use outcome::{
     GrantKind, OwnerAction, ReadMissClass, ReadResolution, ReadStep, WriteResolution, WriteStep,
 };
 pub use rules::{AcquirePurpose, CopyState, LocalReadExcl, LocalStore, SafetyRule};
+pub use stats::DirStats;
 pub use table::DirTable;

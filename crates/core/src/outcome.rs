@@ -70,7 +70,7 @@ pub enum ReadStep {
     },
     /// A single cache holds the block with write permission; the engine must
     /// query/forward to it and then call
-    /// [`crate::Directory::read_forward_result`] with `owner_modified`.
+    /// [`crate::DirTable::read_forward_result`] with the owner's state.
     Forward { owner: NodeId },
 }
 
@@ -103,7 +103,7 @@ pub enum WriteStep {
     },
     /// Block owned elsewhere: engine forwards, owner invalidates and ships
     /// data + ownership; conclude with
-    /// [`crate::Directory::write_forward_result`].
+    /// [`crate::DirTable::write_forward_result`].
     Forward { owner: NodeId },
 }
 

@@ -1,6 +1,6 @@
 //! The protocol transition table, as pure functions over directory entries.
 //!
-//! Both the concrete simulation engine (`ccsim-engine`, via [`crate::Directory`]'s
+//! Both the concrete simulation engine (`ccsim-engine`, via [`crate::DirTable`]'s
 //! thin wrappers) and the bounded model checker (`ccsim-model`) execute
 //! coherence transactions through the functions in this module, so the state
 //! machine that is exhaustively explored for small configurations is
@@ -20,11 +20,11 @@
 //!   evaluated against before/after entry snapshots. These are what catch
 //!   the seeded [`RuleMutation`]s.
 
-use crate::directory::DirStats;
 use crate::entry::{DirEntry, HomeState, SharerSet};
 use crate::outcome::{
     GrantKind, OwnerAction, ReadMissClass, ReadResolution, ReadStep, WriteResolution, WriteStep,
 };
+use crate::stats::DirStats;
 use ccsim_types::{BlockAddr, NodeId, ProtocolConfig, ProtocolKind, RuleMutation};
 
 /// DSI adaptivity: tear-off grants per write burst before the block

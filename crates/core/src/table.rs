@@ -1,20 +1,33 @@
-//! Dense directory state for the engine hot path.
+//! The full-map directory and the coherence protocols' home side.
 //!
-//! [`crate::Directory`] keys entries by hashed `BlockAddr` — the right
-//! shape for the model checker and unit tests, which probe a handful of
-//! blocks, but a hash + probe per coherence action on the engine hot path.
-//! [`DirTable`] holds the same [`DirEntry`] records in a dense, lazily
-//! paged slab indexed by block index, with per-home statistics, and
-//! delegates every transition to the same pure functions in
-//! [`crate::rules`] — so the bounded model checker still explores exactly
-//! the rules the simulator runs.
+//! All protocols share one transaction skeleton (it is the *same*
+//! write-invalidate protocol family); they differ only in when a block gets
+//! tagged for exclusive read grants:
 //!
-//! Although every block has a unique home node, entries live in one
-//! machine-wide slab: the home is a pure function of the address, so
-//! per-home maps bought no sharding benefit, only `nodes` separate hash
-//! tables. Per-shard *ownership* for the parallel sweep is by block-index
-//! hash (see `ccsim-engine`'s `shard` module), which this flat layout
-//! makes cheap.
+//! * **Baseline** never tags.
+//! * **AD** tags on the classical migratory pattern (two copies, writer was
+//!   the other copyholder) and reverts on write misses and failed grants.
+//! * **LS** tags whenever an ownership acquisition comes from the block's
+//!   last reader (with no intervening global access), de-tags otherwise, and
+//!   keeps the tag across replacements.
+//!
+//! The engine drives transactions in two phases: `read`/`write` at the home,
+//! then — when the block is owned elsewhere — `read_forward_result` /
+//! `write_forward_result` once the owner's actual cache state is known.
+//!
+//! The transition bodies live in [`crate::rules`] as pure functions over
+//! `(&ProtocolConfig, &mut DirStats, &mut DirEntry)`; [`DirTable`] owns the
+//! entries and statistics and delegates every transaction, so the bounded
+//! model checker (`ccsim-model`) explores exactly the rules the simulator
+//! runs.
+//!
+//! Entries sit in a dense, lazily paged slab indexed by block index, with
+//! statistics split by home node. Although every block has a unique home
+//! node, entries live in one machine-wide slab: the home is a pure function
+//! of the address, so per-home maps bought no sharding benefit, only
+//! `nodes` separate hash tables. Per-shard *ownership* for the parallel
+//! sweep is by block-index hash (see `ccsim-engine`'s `shard` module), which
+//! this flat layout makes cheap.
 
 use crate::entry::{DirEntry, Fig1State};
 use crate::outcome::{ReadResolution, ReadStep, WriteResolution, WriteStep};
@@ -150,6 +163,15 @@ impl DirTable {
 
     /// A cache evicted its copy of `block` (homed at `home`).
     /// See [`rules::replacement`].
+    ///
+    /// For an owned block the home returns to `Uncached`. Under **LS** the
+    /// LS-bit survives — §3.1 case 3: "the memory keeps the current LS-bit
+    /// value"; this is the feature that lets LS exploit load-store sequences
+    /// broken up by conflict/capacity replacements. Under **AD** the
+    /// migratory designation is part of the block's transient sharing
+    /// pattern and is lost with the exclusive copy (the paper's §2/§5.2:
+    /// replacements "severely limit the amount of ownership overhead that
+    /// can be removed with previous techniques").
     // ccsim-lint: allow(panic-path): the per-home set index is bounded by the geometry DirTable::new validated
     pub fn replacement(&mut self, home: NodeId, block: BlockAddr, node: NodeId) {
         let i = self.index(block);
@@ -165,9 +187,12 @@ impl DirTable {
         rules::replacement(&self.cfg, &mut self.stats[home.idx()], e, node);
     }
 
-    /// Test-only: deliberately break a block's entry so the engine's
-    /// invariant checker has something to catch. Mirrors
-    /// [`crate::Directory::corrupt_entry_for_test`].
+    /// Test-only: deliberately break this block's entry by claiming it is
+    /// merely Shared (keeping whatever sharer set it has, or fabricating a
+    /// phantom sharer). If a cache actually owns the block, the directory
+    /// and the caches now disagree — a seeded mutation the engine's
+    /// invariant checker must catch as an SWMR or state-agreement
+    /// violation. Only compiled with the `testing` feature.
     #[cfg(feature = "testing")]
     #[doc(hidden)]
     pub fn corrupt_entry_for_test(&mut self, block: BlockAddr) {
@@ -197,10 +222,9 @@ impl DirTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::Directory;
-    use crate::outcome::GrantKind;
-    use ccsim_types::Addr;
-    use ccsim_util::Xoshiro256pp;
+    use crate::entry::HomeState;
+    use crate::outcome::{GrantKind, OwnerAction, ReadMissClass};
+    use ccsim_types::{Addr, LsConfig};
 
     const BLOCK: u64 = 32;
 
@@ -208,63 +232,622 @@ mod tests {
         Addr(a).block(BLOCK)
     }
 
-    /// Drive the same pseudo-random transaction mix through a [`Directory`]
-    /// and a [`DirTable`]; entries and statistics must agree exactly —
-    /// they share the rule functions, so any divergence is a plumbing bug
-    /// in the slab layer.
-    #[test]
-    fn table_matches_directory_on_random_traffic() {
-        for kind in ProtocolKind::ALL {
-            let cfg = ProtocolConfig::new(kind);
-            let mut map = Directory::new(cfg);
-            let mut tab = DirTable::new(cfg, BLOCK, 4);
-            let home = NodeId(0);
-            let mut rng = Xoshiro256pp::seed_from_u64(0xD1D1 + kind as u64);
-            let blocks: Vec<BlockAddr> = (0..16).map(|i| blk(i * BLOCK)).collect();
-            for _ in 0..4000 {
-                let b = blocks[(rng.next_u64() % 16) as usize];
-                let p = NodeId((rng.next_u64() % 4) as u16);
-                // Contract of the rules layer: a node owning a block never
-                // issues a global action for it (its cache hits locally).
-                let owns = matches!(
-                    map.entry(b).map(|e| e.state),
-                    Some(crate::entry::HomeState::Owned(q)) if q == p
-                );
-                match if owns { 2 } else { rng.next_u64() % 4 } {
-                    0 => {
-                        let a = map.read(b, p);
-                        let t = tab.read(home, b, p);
-                        assert_eq!(a, t);
-                        if let ReadStep::Forward { .. } = a {
-                            let wrote = rng.next_u64().is_multiple_of(2);
-                            let r1 = map.read_forward_result(b, p, wrote, true);
-                            let r2 = tab.read_forward_result(home, b, p, wrote, true);
-                            assert_eq!(r1, r2);
-                        }
-                    }
-                    1 => {
-                        let a = map.write(b, p);
-                        let t = tab.write(home, b, p);
-                        assert_eq!(a, t);
-                        if let WriteStep::Forward { .. } = a {
-                            let dirty = rng.next_u64().is_multiple_of(2);
-                            let r1 = map.write_forward_result(b, p, dirty);
-                            let r2 = tab.write_forward_result(home, b, p, dirty);
-                            assert_eq!(r1, r2);
-                        }
-                    }
-                    _ => {
-                        map.replacement(b, p);
-                        tab.replacement(home, b, p);
-                    }
-                }
-                assert_eq!(map.entry(b).copied(), tab.entry(b).copied());
-                assert_eq!(map.fig1(b), tab.fig1(b));
-            }
-            assert_eq!(*map.stats(), tab.merged_stats(), "{kind:?} stats diverge");
-            map.check_invariants().expect("map invariants");
-            tab.check_invariants().expect("table invariants");
+    /// A single-home table: every block is homed at `H`.
+    fn dir(kind: ProtocolKind) -> DirTable {
+        DirTable::new(ProtocolConfig::new(kind), BLOCK, 1)
+    }
+
+    const H: NodeId = NodeId(0);
+    const P0: NodeId = NodeId(0);
+    const P1: NodeId = NodeId(1);
+    const P2: NodeId = NodeId(2);
+
+    /// Drive a full untagged read; panics if a forward was needed.
+    fn read_mem(d: &mut DirTable, b: BlockAddr, p: NodeId) -> GrantKind {
+        match d.read(H, b, p) {
+            ReadStep::Memory { grant, .. } => grant,
+            ReadStep::Forward { .. } => panic!("unexpected forward"),
         }
+    }
+
+    // ---------------- Baseline -------------------------------------------
+
+    #[test]
+    fn baseline_read_write_read_cycle() {
+        let mut d = dir(ProtocolKind::Baseline);
+        let b = blk(0);
+        assert_eq!(read_mem(&mut d, b, P0), GrantKind::Shared);
+        assert_eq!(d.fig1(b), Fig1State::Shared);
+        // P0 upgrades.
+        match d.write(H, b, P0) {
+            WriteStep::Memory {
+                invalidate,
+                data_needed,
+            } => {
+                assert!(invalidate.is_empty());
+                assert!(!data_needed);
+            }
+            _ => panic!(),
+        }
+        assert_eq!(d.fig1(b), Fig1State::Dirty);
+        // P1 reads: forwarded to P0, downgrade + sharing writeback.
+        let ReadStep::Forward { owner } = d.read(H, b, P1) else {
+            panic!()
+        };
+        assert_eq!(owner, P0);
+        let r = d.read_forward_result(H, b, P1, true, true);
+        assert_eq!(r.grant, GrantKind::Shared);
+        assert_eq!(r.owner_action, OwnerAction::Downgrade);
+        assert!(r.sharing_writeback);
+        assert_eq!(r.class, ReadMissClass::Dirty);
+        assert_eq!(d.fig1(b), Fig1State::Shared);
+        d.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn baseline_never_grants_exclusive() {
+        let mut d = dir(ProtocolKind::Baseline);
+        let b = blk(0);
+        // Full migratory pattern, twice.
+        for &p in &[P0, P1, P0, P1] {
+            match d.read(H, b, p) {
+                ReadStep::Memory { grant, .. } => assert_eq!(grant, GrantKind::Shared),
+                ReadStep::Forward { .. } => {
+                    let r = d.read_forward_result(H, b, p, true, true);
+                    assert_eq!(r.grant, GrantKind::Shared);
+                }
+            }
+            match d.write(H, b, p) {
+                WriteStep::Memory { .. } => {}
+                WriteStep::Forward { .. } => {
+                    d.write_forward_result(H, b, p, true);
+                }
+            }
+        }
+        assert_eq!(d.stats(H).exclusive_grants, 0);
+        d.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn baseline_write_to_shared_invalidates_others() {
+        let mut d = dir(ProtocolKind::Baseline);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        read_mem(&mut d, b, P1);
+        read_mem(&mut d, b, P2);
+        let WriteStep::Memory {
+            invalidate,
+            data_needed,
+        } = d.write(H, b, P1)
+        else {
+            panic!()
+        };
+        assert_eq!(invalidate.iter().collect::<Vec<_>>(), vec![P0, P2]);
+        assert!(!data_needed);
+        assert_eq!(d.stats(H).invalidations_requested, 2);
+        assert_eq!(d.stats(H).upgrades, 1);
+        d.check_invariants().unwrap();
+    }
+
+    // ---------------- LS ---------------------------------------------------
+
+    #[test]
+    fn ls_tags_on_read_then_write_by_same_node() {
+        let mut d = dir(ProtocolKind::Ls);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0); // upgrade from the last reader -> tag
+        assert!(d.entry(b).unwrap().tagged);
+        assert_eq!(d.fig1(b), Fig1State::LoadStore);
+        assert_eq!(d.stats(H).tag_events, 1);
+    }
+
+    #[test]
+    fn ls_single_sequence_to_uncached_block_is_detected() {
+        // §2: "migratory sharing techniques fail to detect single load-store
+        // sequences to uncached memory blocks" — LS must detect them.
+        let mut d = dir(ProtocolKind::Ls);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0);
+        // Owner evicts (capacity) — LS-bit survives.
+        d.replacement(H, b, P0);
+        assert_eq!(d.fig1(b), Fig1State::Uncached);
+        assert!(d.entry(b).unwrap().tagged);
+        // Next read by anyone returns an exclusive copy.
+        let ReadStep::Memory { grant, class } = d.read(H, b, P1) else {
+            panic!()
+        };
+        assert_eq!(grant, GrantKind::Exclusive);
+        assert_eq!(class, ReadMissClass::CleanExclusive);
+        assert_eq!(d.fig1(b), Fig1State::LoadStore);
+        d.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn ls_intervening_foreign_read_breaks_pairing() {
+        let mut d = dir(ProtocolKind::Ls);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        read_mem(&mut d, b, P1); // LR := P1
+        d.write(H, b, P0); // not the last reader -> de-tag vote, no tag
+        assert!(!d.entry(b).unwrap().tagged);
+        assert_eq!(d.stats(H).tag_events, 0);
+    }
+
+    #[test]
+    fn ls_intervening_foreign_write_breaks_pairing() {
+        let mut d = dir(ProtocolKind::Ls);
+        let b = blk(0);
+        read_mem(&mut d, b, P0); // LR := P0
+
+        // P1 writes (miss): LR invalidated by the acquisition.
+        d.write(H, b, P1);
+        // P0 writes again (forwarded): LR is None -> no tag.
+        let WriteStep::Forward { owner } = d.write(H, b, P0) else {
+            panic!()
+        };
+        assert_eq!(owner, P1);
+        d.write_forward_result(H, b, P0, true);
+        assert!(!d.entry(b).unwrap().tagged);
+    }
+
+    #[test]
+    fn ls_exclusive_grant_then_silent_write_then_migration() {
+        let mut d = dir(ProtocolKind::Ls);
+        let b = blk(0);
+        // Establish the tag.
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0);
+        // P1 reads: forwarded, P0 modified -> exclusive dirty handoff.
+        let ReadStep::Forward { owner } = d.read(H, b, P1) else {
+            panic!()
+        };
+        assert_eq!(owner, P0);
+        let r = d.read_forward_result(H, b, P1, true, true);
+        assert_eq!(r.grant, GrantKind::Exclusive);
+        assert!(r.requester_dirty);
+        assert_eq!(r.owner_action, OwnerAction::Invalidate);
+        assert_eq!(r.class, ReadMissClass::DirtyExclusive);
+        assert_eq!(d.fig1(b), Fig1State::LoadStore);
+        // P2 reads while P1 wrote silently: handoff continues.
+        let ReadStep::Forward { owner } = d.read(H, b, P2) else {
+            panic!()
+        };
+        assert_eq!(owner, P1);
+        let r = d.read_forward_result(H, b, P2, true, true);
+        assert_eq!(r.grant, GrantKind::Exclusive);
+        d.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn ls_failed_prediction_detags_with_notls() {
+        let mut d = dir(ProtocolKind::Ls);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0);
+        d.replacement(H, b, P0);
+        // P1 gets an exclusive grant but never writes...
+        assert!(matches!(
+            d.read(H, b, P1),
+            ReadStep::Memory {
+                grant: GrantKind::Exclusive,
+                ..
+            }
+        ));
+        // ...and P2's read finds an unmodified owner: de-tag + NotLS.
+        let ReadStep::Forward { owner } = d.read(H, b, P2) else {
+            panic!()
+        };
+        assert_eq!(owner, P1);
+        let r = d.read_forward_result(H, b, P2, false, false);
+        assert_eq!(r.grant, GrantKind::Shared);
+        assert_eq!(r.owner_action, OwnerAction::Downgrade);
+        assert!(!r.sharing_writeback, "memory was never stale");
+        assert!(r.notls);
+        assert_eq!(r.class, ReadMissClass::CleanExclusive);
+        assert!(!d.entry(b).unwrap().tagged);
+        assert_eq!(d.stats(H).notls_events, 1);
+        assert_eq!(d.fig1(b), Fig1State::Shared);
+        d.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn ls_detags_on_write_miss_without_read() {
+        let mut d = dir(ProtocolKind::Ls);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0); // tagged
+        d.replacement(H, b, P0);
+        // P1 writes without reading first: de-tag (§3).
+        d.write(H, b, P1);
+        assert!(!d.entry(b).unwrap().tagged);
+        assert_eq!(d.stats(H).detag_events, 1);
+    }
+
+    #[test]
+    fn ls_keep_heuristic_preserves_tag_on_unpaired_write() {
+        let mut cfg = ProtocolConfig::new(ProtocolKind::Ls);
+        cfg.ls = LsConfig {
+            keep_on_unpaired_write: true,
+            ..LsConfig::default()
+        };
+        let mut d = DirTable::new(cfg, BLOCK, 1);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0); // tagged
+        d.replacement(H, b, P0);
+        d.write(H, b, P1); // unpaired write: keep the bit under the heuristic
+        assert!(d.entry(b).unwrap().tagged);
+        assert_eq!(d.stats(H).detag_events, 0);
+    }
+
+    #[test]
+    fn ls_default_tagged_grants_exclusive_on_cold_read() {
+        let mut cfg = ProtocolConfig::new(ProtocolKind::Ls);
+        cfg.ls = LsConfig {
+            default_tagged: true,
+            ..LsConfig::default()
+        };
+        let mut d = DirTable::new(cfg, BLOCK, 1);
+        let ReadStep::Memory { grant, class } = d.read(H, blk(0), P0) else {
+            panic!()
+        };
+        assert_eq!(grant, GrantKind::Exclusive);
+        assert_eq!(class, ReadMissClass::CleanExclusive);
+    }
+
+    #[test]
+    fn ls_tag_hysteresis_requires_two_observations() {
+        let mut cfg = ProtocolConfig::new(ProtocolKind::Ls);
+        cfg.ls = LsConfig {
+            tag_hysteresis: 2,
+            ..LsConfig::default()
+        };
+        let mut d = DirTable::new(cfg, BLOCK, 1);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0); // first observation: not yet tagged
+        assert!(!d.entry(b).unwrap().tagged);
+        d.replacement(H, b, P0);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0); // second observation: tagged
+        assert!(d.entry(b).unwrap().tagged);
+    }
+
+    #[test]
+    fn ls_detag_hysteresis_requires_two_observations() {
+        let mut cfg = ProtocolConfig::new(ProtocolKind::Ls);
+        cfg.ls = LsConfig {
+            detag_hysteresis: 2,
+            ..LsConfig::default()
+        };
+        let mut d = DirTable::new(cfg, BLOCK, 1);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0); // tagged
+        d.replacement(H, b, P0);
+        d.write(H, b, P1); // first de-tag vote
+        assert!(d.entry(b).unwrap().tagged);
+        d.replacement(H, b, P1);
+        d.write(H, b, P2); // second de-tag vote -> cleared
+        assert!(!d.entry(b).unwrap().tagged);
+    }
+
+    #[test]
+    fn ls_hysteresis_votes_reset_on_opposite_event() {
+        let mut cfg = ProtocolConfig::new(ProtocolKind::Ls);
+        cfg.ls = LsConfig {
+            tag_hysteresis: 2,
+            ..LsConfig::default()
+        };
+        let mut d = DirTable::new(cfg, BLOCK, 1);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0); // tag vote 1
+        d.replacement(H, b, P0);
+        d.write(H, b, P1); // de-tag event resets tag votes
+        d.replacement(H, b, P1);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0); // tag vote 1 again — still untagged
+        assert!(!d.entry(b).unwrap().tagged);
+    }
+
+    // ---------------- AD ---------------------------------------------------
+
+    /// Drive one full read (resolving forwards with `owner_modified=true`).
+    fn read_any(d: &mut DirTable, b: BlockAddr, p: NodeId) -> GrantKind {
+        match d.read(H, b, p) {
+            ReadStep::Memory { grant, .. } => grant,
+            ReadStep::Forward { .. } => d.read_forward_result(H, b, p, true, true).grant,
+        }
+    }
+
+    fn write_any(d: &mut DirTable, b: BlockAddr, p: NodeId) {
+        if let WriteStep::Forward { .. } = d.write(H, b, p) {
+            d.write_forward_result(H, b, p, true);
+        }
+    }
+
+    #[test]
+    fn ad_detects_classical_migratory_pattern() {
+        let mut d = dir(ProtocolKind::Ad);
+        let b = blk(0);
+        // P0 read+write establishes a dirty copy.
+        read_any(&mut d, b, P0);
+        write_any(&mut d, b, P0);
+        assert!(!d.entry(b).unwrap().tagged);
+        // P1 reads (P0 downgrades, two copies), P1 upgrades: the other
+        // copyholder (P0) was the last writer -> migratory.
+        assert_eq!(read_any(&mut d, b, P1), GrantKind::Shared);
+        write_any(&mut d, b, P1);
+        assert!(d.entry(b).unwrap().tagged);
+        // Steady state: P2's read now gets a dirty-exclusive handoff.
+        let ReadStep::Forward { owner } = d.read(H, b, P2) else {
+            panic!()
+        };
+        assert_eq!(owner, P1);
+        let r = d.read_forward_result(H, b, P2, true, true);
+        assert_eq!(r.grant, GrantKind::Exclusive);
+        assert!(r.requester_dirty);
+        d.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn ad_misses_single_load_store_to_uncached_block() {
+        // The defining weakness LS fixes (§2).
+        let mut d = dir(ProtocolKind::Ad);
+        let b = blk(0);
+        read_any(&mut d, b, P0);
+        write_any(&mut d, b, P0);
+        assert!(!d.entry(b).unwrap().tagged);
+        // Eviction destroys the pattern; repeat by the same node — AD never
+        // tags because the two-copy migratory pattern never forms.
+        for _ in 0..4 {
+            d.replacement(H, b, P0);
+            read_any(&mut d, b, P0);
+            write_any(&mut d, b, P0);
+        }
+        assert!(!d.entry(b).unwrap().tagged);
+        assert_eq!(d.stats(H).exclusive_grants, 0);
+    }
+
+    #[test]
+    fn ad_eviction_between_read_and_write_breaks_detection() {
+        let mut d = dir(ProtocolKind::Ad);
+        let b = blk(0);
+        read_any(&mut d, b, P0);
+        write_any(&mut d, b, P0);
+        read_any(&mut d, b, P1);
+        // P1's copy is evicted before its write: the upgrade becomes a write
+        // miss and detection fails (the conflict/capacity effect of §5.1).
+        d.replacement(H, b, P1);
+        write_any(&mut d, b, P1);
+        assert!(!d.entry(b).unwrap().tagged);
+    }
+
+    #[test]
+    fn ad_reverts_on_write_miss() {
+        let mut d = dir(ProtocolKind::Ad);
+        let b = blk(0);
+        // Detect migratory.
+        read_any(&mut d, b, P0);
+        write_any(&mut d, b, P0);
+        read_any(&mut d, b, P1);
+        write_any(&mut d, b, P1);
+        assert!(d.entry(b).unwrap().tagged);
+        // P2 writes with no copy and no preceding read: revert.
+        d.replacement(H, b, P1);
+        d.write(H, b, P2);
+        assert!(!d.entry(b).unwrap().tagged);
+    }
+
+    #[test]
+    fn ad_loses_migratory_designation_on_replacement() {
+        // Keeping the tag across replacement is LS's §3.1-case-3 feature;
+        // AD's detection state dies with the exclusive copy, which is why
+        // the paper's AD removes nothing for eviction-heavy workloads.
+        let mut d = dir(ProtocolKind::Ad);
+        let b = blk(0);
+        read_any(&mut d, b, P0);
+        write_any(&mut d, b, P0);
+        read_any(&mut d, b, P1);
+        write_any(&mut d, b, P1);
+        assert!(d.entry(b).unwrap().tagged);
+        d.replacement(H, b, P1);
+        assert!(
+            !d.entry(b).unwrap().tagged,
+            "AD tag must not survive replacement"
+        );
+        // The next read is an ordinary shared grant.
+        let ReadStep::Memory { grant, .. } = d.read(H, b, P2) else {
+            panic!()
+        };
+        assert_eq!(grant, GrantKind::Shared);
+    }
+
+    #[test]
+    fn ad_reverts_when_grant_goes_unwritten() {
+        // Under default migratory tagging (§5.5), a cold read grants
+        // exclusively; a second read before any write reveals the failed
+        // prediction and reverts the designation.
+        let mut cfg = ProtocolConfig::new(ProtocolKind::Ad);
+        cfg.ad.default_tagged = true;
+        let mut d = DirTable::new(cfg, BLOCK, 1);
+        let b = blk(0);
+        let ReadStep::Memory { grant, .. } = d.read(H, b, P2) else {
+            panic!()
+        };
+        assert_eq!(grant, GrantKind::Exclusive);
+        // P0 reads before P2 writes: failed prediction, revert.
+        let ReadStep::Forward { .. } = d.read(H, b, P0) else {
+            panic!()
+        };
+        let r = d.read_forward_result(H, b, P0, false, false);
+        assert!(r.notls);
+        assert!(!d.entry(b).unwrap().tagged);
+    }
+
+    #[test]
+    fn ad_three_sharers_not_migratory() {
+        let mut d = dir(ProtocolKind::Ad);
+        let b = blk(0);
+        read_any(&mut d, b, P0);
+        write_any(&mut d, b, P0);
+        read_any(&mut d, b, P1);
+        read_any(&mut d, b, P2);
+        // Three cached copies: not the migratory pattern.
+        write_any(&mut d, b, P1);
+        assert!(!d.entry(b).unwrap().tagged);
+    }
+
+    // ---------------- DSI --------------------------------------------------
+
+    #[test]
+    fn dsi_tears_off_after_invalidating_write() {
+        let mut d = dir(ProtocolKind::Dsi);
+        let b = blk(0);
+        // Read-shared by two, then written: the tear pattern.
+        read_mem(&mut d, b, P0);
+        read_mem(&mut d, b, P1);
+        d.write(H, b, P0); // invalidates P1 -> tear set
+        assert!(d.entry(b).unwrap().tear);
+        d.replacement(H, b, P0);
+        // Next read: tear-off grant, no sharer registered.
+        let ReadStep::Memory { grant, .. } = d.read(H, b, P2) else {
+            panic!()
+        };
+        assert_eq!(grant, GrantKind::TearOff);
+        assert_eq!(d.entry(b).unwrap().sharers.len(), 0);
+        assert_eq!(d.stats(H).tear_grants, 1);
+        // The subsequent write finds nobody to invalidate.
+        let WriteStep::Memory { invalidate, .. } = d.write(H, b, P1) else {
+            panic!()
+        };
+        assert!(invalidate.is_empty());
+        d.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn dsi_recovers_caching_after_read_heavy_phase() {
+        let mut d = dir(ProtocolKind::Dsi);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        read_mem(&mut d, b, P1);
+        d.write(H, b, P0);
+        d.replacement(H, b, P0);
+        // Four consecutive tear-off reads exhaust the patience...
+        for _ in 0..4 {
+            let ReadStep::Memory { grant, .. } = d.read(H, b, P1) else {
+                panic!()
+            };
+            assert_eq!(grant, GrantKind::TearOff);
+        }
+        assert!(
+            !d.entry(b).unwrap().tear,
+            "read-heavy phase clears the tear bit"
+        );
+        // ...and the fifth read caches normally.
+        let ReadStep::Memory { grant, .. } = d.read(H, b, P1) else {
+            panic!()
+        };
+        assert_eq!(grant, GrantKind::Shared);
+        d.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn dsi_single_sharer_upgrade_does_not_tear() {
+        let mut d = dir(ProtocolKind::Dsi);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0); // sole-sharer upgrade: nothing invalidated
+        assert!(!d.entry(b).unwrap().tear);
+    }
+
+    #[test]
+    fn dsi_dirty_blocks_follow_the_normal_path() {
+        let mut d = dir(ProtocolKind::Dsi);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        read_mem(&mut d, b, P1);
+        d.write(H, b, P0); // tear set, P0 owns
+
+        // Read while dirty: must forward, not tear off (memory is stale).
+        let ReadStep::Forward { owner } = d.read(H, b, P1) else {
+            panic!()
+        };
+        assert_eq!(owner, P0);
+        let r = d.read_forward_result(H, b, P1, true, true);
+        assert_eq!(r.grant, GrantKind::Shared, "DSI never grants exclusively");
+        d.check_invariants().unwrap();
+    }
+
+    // ---------------- replacements & stats --------------------------------
+
+    #[test]
+    fn shared_replacements_shrink_to_uncached() {
+        let mut d = dir(ProtocolKind::Baseline);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        read_mem(&mut d, b, P1);
+        d.replacement(H, b, P0);
+        assert_eq!(d.fig1(b), Fig1State::Shared);
+        d.replacement(H, b, P1);
+        assert_eq!(d.fig1(b), Fig1State::Uncached);
+        d.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn replacement_of_unknown_block_is_ignored() {
+        let mut d = dir(ProtocolKind::Baseline);
+        d.replacement(H, blk(0x999), P0); // no-op, no panic
+    }
+
+    #[test]
+    fn stale_replacement_from_non_owner_is_ignored() {
+        let mut d = dir(ProtocolKind::Baseline);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0);
+        d.replacement(H, b, P1); // P1 owns nothing here
+        assert_eq!(d.fig1(b), Fig1State::Dirty);
+    }
+
+    #[test]
+    fn stats_counters_add_up() {
+        let mut d = dir(ProtocolKind::Ls);
+        let b = blk(0);
+        read_mem(&mut d, b, P0); // global read 1 (Clean)
+        d.write(H, b, P0); // upgrade 1
+        let ReadStep::Forward { .. } = d.read(H, b, P1) else {
+            panic!()
+        }; // global read 2
+        d.read_forward_result(H, b, P1, true, true); // DirtyExclusive
+        let s = d.stats(H);
+        assert_eq!(s.global_reads, 2);
+        assert_eq!(s.upgrades, 1);
+        assert_eq!(s.write_misses, 0);
+        assert_eq!(s.ownership_acquisitions(), 1);
+        assert_eq!(s.read_class_count(ReadMissClass::Clean), 1);
+        assert_eq!(s.read_class_count(ReadMissClass::DirtyExclusive), 1);
+        assert_eq!(s.exclusive_grants, 1);
+    }
+
+    #[test]
+    fn write_forward_transfers_ownership() {
+        let mut d = dir(ProtocolKind::Baseline);
+        let b = blk(0);
+        read_mem(&mut d, b, P0);
+        d.write(H, b, P0);
+        let WriteStep::Forward { owner } = d.write(H, b, P1) else {
+            panic!()
+        };
+        assert_eq!(owner, P0);
+        let r = d.write_forward_result(H, b, P1, true);
+        assert!(r.owner_was_modified);
+        assert_eq!(d.entry(b).unwrap().state, HomeState::Owned(P1));
+        assert_eq!(d.stats(H).invalidations_requested, 1);
+        d.check_invariants().unwrap();
     }
 
     #[test]

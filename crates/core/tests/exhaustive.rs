@@ -18,11 +18,14 @@
 //! state, invalidation fan-out, silent X→M promotion), so this checks the
 //! protocol as it is actually driven, not an abstraction of it.
 
-use ccsim_core::{Directory, GrantKind, HomeState, OwnerAction, ReadStep, WriteStep};
+use ccsim_core::{DirTable, GrantKind, HomeState, OwnerAction, ReadStep, WriteStep};
 use ccsim_types::{Addr, BlockAddr, NodeId, ProtocolConfig, ProtocolKind};
 use std::collections::{HashSet, VecDeque};
 
 const BLOCK: BlockAddr = BlockAddr(0);
+const BLOCK_BYTES: u64 = 64;
+/// A single-home directory table: the one block is homed at node 0.
+const HOME: NodeId = NodeId(0);
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Line {
@@ -34,7 +37,7 @@ enum Line {
 }
 
 /// Replayable action trace: the model state is (protocol, action history) —
-/// we rebuild the directory by replay, because `Directory` is not cloneable
+/// we rebuild the directory by replay, because `DirTable` is not cloneable
 /// by design. The *visited* set is keyed on the observable state signature.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Act {
@@ -45,14 +48,14 @@ enum Act {
 }
 
 struct Model {
-    dir: Directory,
+    dir: DirTable,
     lines: Vec<Line>,
 }
 
 impl Model {
     fn new(kind: ProtocolKind, n: u16) -> Self {
         Model {
-            dir: Directory::new(ProtocolConfig::new(kind)),
+            dir: DirTable::new(ProtocolConfig::new(kind), BLOCK_BYTES, 1),
             lines: vec![Line::I; n as usize],
         }
     }
@@ -93,13 +96,13 @@ impl Model {
             Act::Evict(p) => {
                 assert_ne!(self.lines[p as usize], Line::I);
                 self.lines[p as usize] = Line::I;
-                self.dir.replacement(BLOCK, NodeId(p));
+                self.dir.replacement(HOME, BLOCK, NodeId(p));
             }
         }
     }
 
     fn read(&mut self, p: NodeId) {
-        match self.dir.read(BLOCK, p) {
+        match self.dir.read(HOME, BLOCK, p) {
             ReadStep::Memory { grant, .. } => {
                 match grant {
                     GrantKind::Shared => self.lines[p.idx()] = Line::S,
@@ -115,7 +118,7 @@ impl Model {
                     Line::X => (false, false),
                     other => panic!("forward to non-exclusive holder in {other:?}"),
                 };
-                let r = self.dir.read_forward_result(BLOCK, p, wrote, dirty);
+                let r = self.dir.read_forward_result(HOME, BLOCK, p, wrote, dirty);
                 match r.owner_action {
                     OwnerAction::Downgrade => self.lines[owner.idx()] = Line::S,
                     OwnerAction::Invalidate => self.lines[owner.idx()] = Line::I,
@@ -131,7 +134,7 @@ impl Model {
     }
 
     fn write(&mut self, p: NodeId) {
-        match self.dir.write(BLOCK, p) {
+        match self.dir.write(HOME, BLOCK, p) {
             WriteStep::Memory {
                 invalidate,
                 data_needed,
@@ -145,7 +148,7 @@ impl Model {
             }
             WriteStep::Forward { owner } => {
                 let dirty = matches!(self.lines[owner.idx()], Line::M | Line::Xd);
-                self.dir.write_forward_result(BLOCK, p, dirty);
+                self.dir.write_forward_result(HOME, BLOCK, p, dirty);
                 self.lines[owner.idx()] = Line::I;
                 self.lines[p.idx()] = Line::M;
             }
@@ -244,7 +247,7 @@ impl Model {
     }
 }
 
-/// BFS over reachable states (replay-based, since `Directory` is not
+/// BFS over reachable states (replay-based, since `DirTable` is not
 /// cloneable): explores every action sequence up to `depth`, deduplicating
 /// on observable state signatures.
 fn explore(kind: ProtocolKind, nodes: u16, depth: usize) -> usize {

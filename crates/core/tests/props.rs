@@ -12,10 +12,14 @@
 //! * Baseline never tags and never grants exclusively;
 //! * every entry passes its internal consistency check.
 
-use ccsim_core::{Directory, GrantKind, HomeState, OwnerAction, ReadStep, WriteStep};
+use ccsim_core::{DirTable, GrantKind, HomeState, OwnerAction, ReadStep, WriteStep};
 use ccsim_types::{Addr, BlockAddr, NodeId, ProtocolConfig, ProtocolKind};
 use ccsim_util::check::{cases, Gen};
 use std::collections::HashMap;
+
+const BLOCK_BYTES: u64 = 64;
+/// A single-home directory table: every block is homed at node 0.
+const HOME: NodeId = NodeId(0);
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum MirrorState {
@@ -50,7 +54,7 @@ fn gen_ops(g: &mut Gen, nodes: u16, blocks: u8, max_len: usize) -> Vec<Op> {
 }
 
 struct Harness {
-    dir: Directory,
+    dir: DirTable,
     /// block -> node -> cached state
     mirror: HashMap<BlockAddr, HashMap<NodeId, MirrorState>>,
     exclusive_grants_seen: u64,
@@ -59,7 +63,7 @@ struct Harness {
 impl Harness {
     fn new(kind: ProtocolKind) -> Self {
         Harness {
-            dir: Directory::new(ProtocolConfig::new(kind)),
+            dir: DirTable::new(ProtocolConfig::new(kind), BLOCK_BYTES, 1),
             mirror: HashMap::new(),
             exclusive_grants_seen: 0,
         }
@@ -74,7 +78,7 @@ impl Harness {
         if held.is_some() {
             return; // cache hit: no global action
         }
-        match self.dir.read(b, p) {
+        match self.dir.read(HOME, b, p) {
             ReadStep::Memory { grant, .. } => {
                 match grant {
                     GrantKind::Shared => {
@@ -103,7 +107,9 @@ impl Harness {
                 );
                 let owner_wrote = owner_state == MirrorState::M;
                 let owner_dirty = matches!(owner_state, MirrorState::M | MirrorState::Xd);
-                let r = self.dir.read_forward_result(b, p, owner_wrote, owner_dirty);
+                let r = self
+                    .dir
+                    .read_forward_result(HOME, b, p, owner_wrote, owner_dirty);
                 if !owner_wrote {
                     assert!(r.notls, "unwritten grant must trigger NotLS/revert");
                     assert_eq!(
@@ -143,7 +149,7 @@ impl Harness {
                 self.holders(b).insert(p, MirrorState::M);
             }
             Some(MirrorState::S) | None => {
-                match self.dir.write(b, p) {
+                match self.dir.write(HOME, b, p) {
                     WriteStep::Memory {
                         invalidate,
                         data_needed,
@@ -174,7 +180,7 @@ impl Harness {
                         let st = *self.holders(b).get(&owner).expect("forward to non-holder");
                         assert_ne!(st, MirrorState::S);
                         let dirty = matches!(st, MirrorState::M | MirrorState::Xd);
-                        self.dir.write_forward_result(b, p, dirty);
+                        self.dir.write_forward_result(HOME, b, p, dirty);
                         self.holders(b).remove(&owner);
                         self.holders(b).insert(p, MirrorState::M);
                     }
@@ -185,7 +191,7 @@ impl Harness {
 
     fn evict(&mut self, b: BlockAddr, p: NodeId) {
         if self.holders(b).remove(&p).is_some() {
-            self.dir.replacement(b, p);
+            self.dir.replacement(HOME, b, p);
         }
     }
 
@@ -225,9 +231,10 @@ fn run_ops(kind: ProtocolKind, ops: &[Op]) -> Harness {
     let mut h = Harness::new(kind);
     for op in ops {
         let (node, block) = match *op {
-            Op::Read { node, block } | Op::Write { node, block } | Op::Evict { node, block } => {
-                (NodeId(node), Addr(block as u64 * 64).block(64))
-            }
+            Op::Read { node, block } | Op::Write { node, block } | Op::Evict { node, block } => (
+                NodeId(node),
+                Addr(block as u64 * BLOCK_BYTES).block(BLOCK_BYTES),
+            ),
         };
         match op {
             Op::Read { .. } => h.read(block, node),
@@ -245,8 +252,8 @@ fn baseline_consistent_under_random_ops() {
         let ops = gen_ops(g, 4, 4, 200);
         let h = run_ops(ProtocolKind::Baseline, &ops);
         assert_eq!(h.exclusive_grants_seen, 0);
-        assert_eq!(h.dir.stats().exclusive_grants, 0);
-        assert_eq!(h.dir.stats().tag_events, 0);
+        assert_eq!(h.dir.stats(HOME).exclusive_grants, 0);
+        assert_eq!(h.dir.stats(HOME).tag_events, 0);
     });
 }
 
@@ -255,7 +262,7 @@ fn ls_consistent_under_random_ops() {
     cases(256, |g| {
         let ops = gen_ops(g, 4, 4, 200);
         let h = run_ops(ProtocolKind::Ls, &ops);
-        assert_eq!(h.exclusive_grants_seen, h.dir.stats().exclusive_grants);
+        assert_eq!(h.exclusive_grants_seen, h.dir.stats(HOME).exclusive_grants);
     });
 }
 
@@ -264,7 +271,7 @@ fn ad_consistent_under_random_ops() {
     cases(256, |g| {
         let ops = gen_ops(g, 4, 4, 200);
         let h = run_ops(ProtocolKind::Ad, &ops);
-        assert_eq!(h.exclusive_grants_seen, h.dir.stats().exclusive_grants);
+        assert_eq!(h.exclusive_grants_seen, h.dir.stats(HOME).exclusive_grants);
     });
 }
 
@@ -288,10 +295,11 @@ fn ls_never_acquires_more_ownership_than_baseline() {
         let b = run_ops(ProtocolKind::Baseline, &ops);
         let l = run_ops(ProtocolKind::Ls, &ops);
         assert!(
-            l.dir.stats().ownership_acquisitions() <= b.dir.stats().ownership_acquisitions(),
+            l.dir.stats(HOME).ownership_acquisitions()
+                <= b.dir.stats(HOME).ownership_acquisitions(),
             "LS {} > Baseline {}",
-            l.dir.stats().ownership_acquisitions(),
-            b.dir.stats().ownership_acquisitions()
+            l.dir.stats(HOME).ownership_acquisitions(),
+            b.dir.stats(HOME).ownership_acquisitions()
         );
     });
 }
@@ -304,11 +312,11 @@ fn dsi_consistent_under_random_ops() {
         let ops = gen_ops(g, 4, 4, 200);
         let h = run_ops(ProtocolKind::Dsi, &ops);
         assert_eq!(
-            h.dir.stats().exclusive_grants,
+            h.dir.stats(HOME).exclusive_grants,
             0,
             "DSI never grants exclusively"
         );
-        assert_eq!(h.dir.stats().tag_events, 0);
+        assert_eq!(h.dir.stats(HOME).tag_events, 0);
     });
 }
 
@@ -319,6 +327,6 @@ fn ls_detags_never_exceed_tags() {
     cases(256, |g| {
         let ops = gen_ops(g, 4, 4, 200);
         let h = run_ops(ProtocolKind::Ls, &ops);
-        assert!(h.dir.stats().detag_events <= h.dir.stats().tag_events);
+        assert!(h.dir.stats(HOME).detag_events <= h.dir.stats(HOME).tag_events);
     });
 }

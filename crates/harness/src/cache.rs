@@ -276,10 +276,22 @@ pub fn run_cached(cfg: MachineConfig, spec: &Spec) -> RunStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ccsim_types::ProtocolKind;
     use ccsim_workloads::mp3d::Mp3dParams;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The `CacheStats` counters are process-global. Every test that runs a
+    /// job through the cache holds this lock, so no sibling test bumps the
+    /// counters between its two snapshots.
+    static STATS_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Take [`STATS_LOCK`]; a test that failed while holding it does not
+    /// poison the others.
+    pub(crate) fn stats_lock() -> MutexGuard<'static, ()> {
+        STATS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn tiny_spec() -> Spec {
         let mut p = Mp3dParams::quick();
@@ -309,6 +321,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit_returns_identical_stats() {
+        let _stats = stats_lock();
         let dir = temp_dir("hit");
         let cfg = MachineConfig::splash_baseline(ProtocolKind::Baseline);
         let spec = tiny_spec();
@@ -323,6 +336,7 @@ mod tests {
 
     #[test]
     fn read_only_never_writes() {
+        let _stats = stats_lock();
         let dir = temp_dir("ro");
         let cfg = MachineConfig::splash_baseline(ProtocolKind::Ls);
         let spec = tiny_spec();
@@ -337,6 +351,7 @@ mod tests {
 
     #[test]
     fn off_mode_bypasses() {
+        let _stats = stats_lock();
         let dir = temp_dir("off");
         let cfg = MachineConfig::splash_baseline(ProtocolKind::Ad);
         let spec = tiny_spec();
@@ -349,6 +364,7 @@ mod tests {
 
     #[test]
     fn corrupt_entries_are_misses_and_healed() {
+        let _stats = stats_lock();
         let dir = temp_dir("corrupt");
         let cfg = MachineConfig::splash_baseline(ProtocolKind::Ls);
         let spec = tiny_spec();
@@ -368,6 +384,7 @@ mod tests {
 
     #[test]
     fn checksum_mismatch_is_quarantined() {
+        let _stats = stats_lock();
         let dir = temp_dir("checksum");
         let cfg = MachineConfig::splash_baseline(ProtocolKind::Ad);
         let spec = tiny_spec();
@@ -392,6 +409,7 @@ mod tests {
 
     #[test]
     fn wrong_format_version_is_quarantined_not_trusted() {
+        let _stats = stats_lock();
         let dir = temp_dir("format");
         let cfg = MachineConfig::splash_baseline(ProtocolKind::Baseline);
         let spec = tiny_spec();

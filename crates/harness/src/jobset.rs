@@ -221,6 +221,8 @@ mod tests {
 
     #[test]
     fn results_keep_submission_order() {
+        // Off-mode runs bump the global bypass counter the cache tests read.
+        let _stats = crate::cache::tests::stats_lock();
         let mut set = JobSet::new();
         let cfg = MachineConfig::splash_baseline(ProtocolKind::Baseline);
         for kind in [ProtocolKind::Ls, ProtocolKind::Baseline, ProtocolKind::Ad] {
@@ -236,6 +238,8 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_results() {
+        // Off-mode runs bump the global bypass counter the cache tests read.
+        let _stats = crate::cache::tests::stats_lock();
         let cfg = MachineConfig::splash_baseline(ProtocolKind::Baseline);
         let build = || {
             let mut set = JobSet::new();

@@ -1,29 +1,20 @@
-//! `ccsim-lint`: zero-dependency static analysis for the workspace.
+//! `ccsim-lint`: zero-dependency static analysis for the workspace,
+//! surfaced as the `ccsim lint` subcommand.
 //!
-//! Two passes, surfaced as the `ccsim lint` and `ccsim analyze`
-//! subcommands:
-//!
-//! - [`source`] (pass 1) lints the workspace's Rust sources for
-//!   determinism and race-hazard laws. It is a three-layer semantic
-//!   analyzer: a hand-rolled token scanner ([`lexer`]), a lossy
-//!   recursive-descent parser ([`parse`] → [`ast`]) that recovers item
-//!   structure and full expression trees, and a workspace pass
-//!   ([`resolve`] → [`callgraph`] → [`taint`]) that builds a symbol table
-//!   and approximate call graph to run interprocedural rules: global
-//!   lock-order cycle detection, nondeterminism taint tracking from
-//!   sources (wall clock, `RandomState`, unvetted env reads) into
-//!   determinism sinks (canonical JSON, cache keys, event logs), and
-//!   panic-path reachability from the replay-commit and
-//!   directory-mutation entry points. Violations are suppressible only
-//!   via justified `// ccsim-lint: allow(<rule>): <why>` comments.
-//!   [`sarif`] renders diagnostics as SARIF 2.1.0 for code-scanning UIs.
-//! - [`analysis`] (pass 2) statically classifies a captured access trace
-//!   per the paper's sharing-pattern taxonomy and replays its coherence
-//!   consequences without timing, yielding counters that exactly match the
-//!   engine's LS oracle — an independent check of the simulator, exported
-//!   as [`ccsim_stats::AnalysisSummary`].
+//! [`source`] lints the workspace's Rust sources for determinism and
+//! race-hazard laws. It is a three-layer semantic analyzer: a hand-rolled
+//! token scanner ([`lexer`]), a lossy recursive-descent parser ([`parse`] →
+//! [`ast`]) that recovers item structure and full expression trees, and a
+//! workspace pass ([`resolve`] → [`callgraph`] → [`taint`]) that builds a
+//! symbol table and approximate call graph to run interprocedural rules:
+//! global lock-order cycle detection, nondeterminism taint tracking from
+//! sources (wall clock, `RandomState`, unvetted env reads) into determinism
+//! sinks (canonical JSON, cache keys, event logs), and panic-path
+//! reachability from the replay-commit and directory-mutation entry
+//! points. Violations are suppressible only via justified
+//! `// ccsim-lint: allow(<rule>): <why>` comments. [`sarif`] renders
+//! diagnostics as SARIF 2.1.0 for code-scanning UIs.
 
-pub mod analysis;
 pub mod ast;
 pub mod callgraph;
 pub mod lexer;
@@ -33,5 +24,4 @@ pub mod sarif;
 pub mod source;
 pub mod taint;
 
-pub use analysis::analyze;
 pub use source::{explain, lint_file, lint_sources, lint_workspace, Diagnostic, LintConfig, RULES};

@@ -156,9 +156,9 @@ parser.",
         summary: "no reachable panic on replay-commit or directory-mutation paths",
         explain: "`unwrap` sees one call site at a time; this rule asks what the commit \
 entry points actually reach. Starting from the replay-commit entry \
-(`ReplayState::apply`) and every directory mutation (`Directory` and \
-`DirTable` `read`/`write`/`replacement`/`read_forward_result`/\
-`write_forward_result`), it walks the approximate call graph and reports \
+(`ReplayState::apply`) and every directory mutation (`DirTable` \
+`read`/`write`/`replacement`/`read_forward_result`/`write_forward_result`), \
+it walks the approximate call graph and reports \
 every potential panic site — `.unwrap()`, `.expect(..)`, panic-family \
 macros, and `[..]` indexing — in reachable protocol-crate code, each with \
 its entry → site call chain as a witness. A panic on these paths aborts a \
@@ -277,11 +277,6 @@ impl LintConfig {
             ],
             panic_entries: [
                 "ReplayState::apply",
-                "Directory::read",
-                "Directory::write",
-                "Directory::replacement",
-                "Directory::read_forward_result",
-                "Directory::write_forward_result",
                 "DirTable::read",
                 "DirTable::write",
                 "DirTable::replacement",

@@ -2,9 +2,12 @@
 //! diagnostics — each rule demonstrated to fire, each suppression path
 //! demonstrated to work, nothing extra.
 
+use ccsim_lint::lexer::lex;
+use ccsim_lint::parse::parse;
+use ccsim_lint::resolve::Workspace;
 use ccsim_lint::source::{
-    lint_file, LintConfig, RULE_BAD_ALLOW, RULE_GUARD_FANOUT, RULE_LOCK_ORDER, RULE_RANDOMSTATE,
-    RULE_TESTING_GATE, RULE_UNBOUNDED_RETRY, RULE_UNWRAP, RULE_WALL_CLOCK,
+    lint_file, workspace_files, LintConfig, RULE_BAD_ALLOW, RULE_GUARD_FANOUT, RULE_LOCK_ORDER,
+    RULE_RANDOMSTATE, RULE_TESTING_GATE, RULE_UNBOUNDED_RETRY, RULE_UNWRAP, RULE_WALL_CLOCK,
 };
 
 const FIXTURE: &str = include_str!("../fixtures/seeded.rs");
@@ -57,4 +60,37 @@ fn workspace_scoping_silences_out_of_scope_rules_on_the_fixture() {
     assert!(diags.iter().all(|d| d.rule != RULE_UNWRAP));
     assert!(diags.iter().all(|d| d.rule != RULE_UNBOUNDED_RETRY));
     assert!(diags.iter().any(|d| d.rule == RULE_RANDOMSTATE));
+}
+
+/// `panic-path` skips an entry that names no function, so a stale entry
+/// would silently shrink the walk. Every configured entry must resolve to
+/// at least one non-test function of the parsed workspace.
+#[test]
+fn every_workspace_panic_entry_resolves_to_a_function() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let root = root.canonicalize().expect("workspace root");
+    let files: Vec<_> = workspace_files(&root)
+        .expect("workspace walk")
+        .into_iter()
+        .map(|path| {
+            let src = std::fs::read_to_string(&path).expect("read source");
+            let rel = path.strip_prefix(&root).unwrap_or(&path);
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            (rel, parse(&lex(&src).tokens))
+        })
+        .collect();
+    let ws = Workspace::build(&files);
+    let cfg = LintConfig::workspace();
+    assert!(!cfg.panic_entries.is_empty());
+    for entry in &cfg.panic_entries {
+        let ids = if entry.contains("::") {
+            ws.qualified(entry)
+        } else {
+            ws.named(entry)
+        };
+        assert!(
+            ids.iter().any(|&id| !ws.fns[id].test_only),
+            "panic entry `{entry}` names no non-test function in the workspace"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 //!
 //! The simulator's protocol behaviour lives in one place —
 //! [`ccsim_core::rules`], a pure transition table over directory entries —
-//! and both this crate and the engine's [`ccsim_core::Directory`] execute
+//! and both this crate and the engine's [`ccsim_core::DirTable`] execute
 //! it. Exhaustively exploring the abstract machine therefore verifies the
 //! *same* state machine the simulator runs, not a re-specification that
 //! could drift: there is exactly one copy of the rules.

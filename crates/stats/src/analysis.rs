@@ -1,235 +1,26 @@
-//! Pass 2: static analysis of access traces (`ccsim analyze`).
+//! Static analysis of access traces (`ccsim analyze`).
 //!
-//! Two analyses share one O(events) pass over a captured [`Trace`], with no
-//! timing, network, or thread machinery involved:
+//! One O(events) pass over a captured [`Trace`] labels every block with its
+//! sharing pattern under an idealized infinite cache: private, read-shared,
+//! producer-consumer, load-store (migratory as its strict subset) or
+//! irregular, plus an orthogonal false-sharing-candidate label from
+//! per-node word footprints. The same pass counts the stream's inherent
+//! global actions. These depend only on the access stream, not on cache
+//! geometry or protocol.
 //!
-//! 1. **Paper-taxonomy classifier** — an idealized infinite-cache pass over
-//!    the access stream labels every block with its sharing pattern
-//!    (private, read-shared, producer-consumer, load-store, migratory — the
-//!    latter a strict subset of load-store — plus an orthogonal
-//!    false-sharing-candidate label from per-node word footprints) and
-//!    counts the stream's inherent global actions. These depend only on the
-//!    access stream, not on cache geometry or protocol.
-//!
-//! 2. **Exact coherence replay** — a timing-free re-execution of the
-//!    engine's coherence orchestration (same `Hierarchy`, `Directory`,
-//!    `ccsim_core::rules`, `LsOracle`, and `FalseSharing`, called in the
-//!    same order as `Machine::{load,write,load_exclusive}`, minus all
-//!    latency/network/invariant logic). Trace events are recorded in
-//!    execution order under the engine lock, so replaying them in order
-//!    reproduces the exact coherence-operation sequence: the resulting
-//!    LS-oracle, silent-store, and directory counters equal the capturing
-//!    run's bit for bit. This is the independent cross-check of the
-//!    engine's LS counters, and `ls_writes` from it is the static upper
-//!    bound on ownership transactions the LS protocol can eliminate for
-//!    this trace and geometry (`eliminated_ls <= ls_writes` always).
-//!
-//! Faults, NACKs, retries, and busy-block bounces affect only timing in the
-//! engine, never coherence state or oracle counts, so omitting them keeps
-//! the replay exact.
+//! The exact finite-cache counters (global reads, LS/migratory writes,
+//! eliminations, silent stores, the false-sharing fraction) come from the
+//! engine itself: the trace is replayed with [`ccsim_engine::replay`].
+//! Trace events are recorded in execution order, so the replay reproduces
+//! the capturing run's coherence-operation sequence and its counters bit
+//! for bit. `ls_writes` is the static upper bound on ownership transactions
+//! the LS protocol can eliminate for this trace and geometry
+//! (`eliminated_ls <= ls_writes` always).
 
-use ccsim_cache::{Hierarchy, LineState, Probe};
-use ccsim_core::rules::{self, LocalReadExcl, LocalStore};
-use ccsim_core::{DirStats, Directory, ReadStep, WriteStep};
-use ccsim_engine::invariants::{copy_state, line_state};
-use ccsim_engine::oracle::{FalseSharing, LsOracle};
-use ccsim_engine::{Component, Trace, TraceOp};
-use ccsim_mem::pages;
-use ccsim_stats::AnalysisSummary;
-use ccsim_types::{Addr, BlockAddr, MachineConfig, NodeId};
+use crate::AnalysisSummary;
+use ccsim_engine::{replay, Trace, TraceOp};
+use ccsim_types::{Addr, BlockAddr, MachineConfig};
 use ccsim_util::FxHashMap;
-
-/// Why the replay asks the home for ownership (mirrors the engine's private
-/// `Acquire` enum).
-#[derive(Clone, Copy)]
-enum Acq {
-    Store(Component),
-    ReadExclusive,
-}
-
-/// Timing-free mirror of the engine's coherence orchestration.
-struct Replay {
-    cfg: MachineConfig,
-    caches: Vec<Hierarchy>,
-    dirs: Vec<Directory>,
-    oracle: LsOracle,
-    fs: FalseSharing,
-    silent_stores: u64,
-}
-
-impl Replay {
-    fn new(cfg: MachineConfig) -> Replay {
-        Replay {
-            caches: (0..cfg.nodes).map(|_| Hierarchy::new(&cfg)).collect(),
-            dirs: (0..cfg.nodes)
-                .map(|_| Directory::new(cfg.protocol))
-                .collect(),
-            oracle: LsOracle::new(cfg.block_bytes()),
-            fs: FalseSharing::new(cfg.nodes, cfg.block_bytes()),
-            silent_stores: 0,
-            cfg,
-        }
-    }
-
-    fn home(&self, addr: Addr) -> NodeId {
-        pages::home_node(addr, self.cfg.page_bytes, self.cfg.nodes)
-    }
-
-    /// Mirror of `Machine::fill`: install a block, resolve the L2 victim.
-    fn fill(&mut self, p: NodeId, block: BlockAddr, state: LineState) {
-        if let Some(ev) = self.caches[p.idx()].fill(block, state) {
-            let vhome = self.home(ev.block.addr());
-            self.dirs[vhome.idx()].replacement(ev.block, p);
-            self.fs.on_replaced(ev.block, p);
-        }
-    }
-
-    /// Mirror of `Machine::owner_state`.
-    fn owner_state(&self, owner: NodeId, block: BlockAddr) -> (bool, bool) {
-        let copy = self.caches[owner.idx()].state(block);
-        copy.and_then(|s| rules::owner_report(copy_state(s)))
-            .unwrap_or_else(|| {
-                panic!("directory believes {owner} owns {block}, cache says {copy:?}")
-            })
-    }
-
-    /// Mirror of `Machine::load` (the coherence-visible part).
-    fn load(&mut self, p: NodeId, addr: Addr) {
-        let block = addr.block(self.cfg.block_bytes());
-        match self.caches[p.idx()].probe(block) {
-            Probe::L1(_) | Probe::L2(_) => {}
-            Probe::Miss => self.global_read(p, addr, block),
-        }
-    }
-
-    /// Mirror of `Machine::global_read`.
-    fn global_read(&mut self, p: NodeId, addr: Addr, block: BlockAddr) {
-        let home = self.home(addr);
-        self.oracle.global_read(block, p);
-        self.fs.on_miss(block, addr, p);
-        match self.dirs[home.idx()].read(block, p) {
-            ReadStep::Memory { grant, .. } => {
-                // Memory data is clean; `None` is the DSI tear-off grant —
-                // data consumed without caching.
-                if let Some(s) = rules::read_fill_state(grant, false) {
-                    self.fill(p, block, line_state(s));
-                }
-            }
-            ReadStep::Forward { owner } => {
-                let (wrote, dirty) = self.owner_state(owner, block);
-                let res = self.dirs[home.idx()].read_forward_result(block, p, wrote, dirty);
-                match rules::owner_next_state(res.owner_action) {
-                    Some(s) => {
-                        self.caches[owner.idx()].set_state(block, line_state(s));
-                    }
-                    None => {
-                        self.caches[owner.idx()].invalidate(block);
-                        self.fs.on_invalidated(block, owner);
-                    }
-                }
-                let state = rules::read_fill_state(res.grant, res.requester_dirty)
-                    // ccsim-lint: allow(unwrap): same invariant the engine relies on — forwarded reads never grant tear-off
-                    .expect("forwarded reads never grant tear-off");
-                self.fill(p, block, line_state(state));
-            }
-        }
-    }
-
-    /// Mirror of `Machine::write` (the coherence-visible part).
-    fn store(&mut self, p: NodeId, addr: Addr, comp: Component) {
-        let block = addr.block(self.cfg.block_bytes());
-        self.fs.on_store(block, addr, p);
-        let copy = match self.caches[p.idx()].probe(block) {
-            Probe::L1(s) | Probe::L2(s) => Some(copy_state(s)),
-            Probe::Miss => None,
-        };
-        match rules::store_probe(copy) {
-            LocalStore::DirtyHit => {}
-            LocalStore::Silent => {
-                self.silent_stores += 1;
-                self.caches[p.idx()].set_state(block, LineState::Modified);
-                self.oracle.global_write(block, p, comp, true);
-            }
-            LocalStore::Acquire { has_copy } => {
-                self.global_acquire(p, addr, block, has_copy, Acq::Store(comp));
-            }
-        }
-    }
-
-    /// Mirror of `Machine::load_exclusive` (the coherence-visible part).
-    fn load_exclusive(&mut self, p: NodeId, addr: Addr) {
-        let block = addr.block(self.cfg.block_bytes());
-        let copy = match self.caches[p.idx()].probe(block) {
-            Probe::L1(s) | Probe::L2(s) => Some(copy_state(s)),
-            Probe::Miss => None,
-        };
-        match rules::read_exclusive_probe(copy) {
-            LocalReadExcl::Hit => {}
-            LocalReadExcl::Acquire { has_copy } => {
-                self.global_acquire(p, addr, block, has_copy, Acq::ReadExclusive);
-            }
-        }
-    }
-
-    /// Mirror of `Machine::global_acquire`.
-    fn global_acquire(
-        &mut self,
-        p: NodeId,
-        addr: Addr,
-        block: BlockAddr,
-        has_copy: bool,
-        purpose: Acq,
-    ) {
-        let home = self.home(addr);
-        match purpose {
-            Acq::Store(comp) => {
-                self.oracle.global_write(block, p, comp, false);
-            }
-            Acq::ReadExclusive => self.oracle.global_read(block, p),
-        }
-        let mut data_dirty = false;
-        match self.dirs[home.idx()].write(block, p) {
-            WriteStep::Memory {
-                invalidate,
-                data_needed,
-            } => {
-                if data_needed {
-                    self.fs.on_miss(block, addr, p);
-                }
-                for s in invalidate.iter() {
-                    self.caches[s.idx()].invalidate(block);
-                    self.fs.on_invalidated(block, s);
-                }
-            }
-            WriteStep::Forward { owner } => {
-                let (_, dirty) = self.owner_state(owner, block);
-                data_dirty = dirty;
-                self.dirs[home.idx()].write_forward_result(block, p, dirty);
-                self.caches[owner.idx()].invalidate(block);
-                self.fs.on_invalidated(block, owner);
-                self.fs.on_miss(block, addr, p);
-            }
-        }
-        let acq = match purpose {
-            Acq::Store(_) => rules::AcquirePurpose::Store,
-            Acq::ReadExclusive => rules::AcquirePurpose::ReadExclusive,
-        };
-        let final_state = line_state(rules::acquire_final_state(acq, data_dirty));
-        if has_copy {
-            self.caches[p.idx()].set_state(block, final_state);
-        } else {
-            self.fill(p, block, final_state);
-        }
-    }
-
-    fn dir_stats(&self) -> DirStats {
-        let mut s = DirStats::default();
-        for d in &self.dirs {
-            s.merge(d.stats());
-        }
-        s
-    }
-}
 
 /// Per-block observation state for the idealized (infinite-cache) pass.
 struct BlockObs {
@@ -440,36 +231,29 @@ pub fn analyze(cfg: &MachineConfig, trace: &Trace) -> Result<AnalysisSummary, St
             cfg.nodes
         ));
     }
-    let mut replay = Replay::new(*cfg);
     let mut ideal = Ideal::new(cfg.nodes as usize, cfg.block_bytes());
-    let mut comp = vec![Component::App; trace.procs() as usize];
     let mut accesses = 0u64;
     for e in trace.events() {
         let p = e.proc as usize;
-        let id = NodeId(e.proc);
         match e.op {
             TraceOp::Load(a) => {
                 accesses += 1;
                 ideal.load(p, a);
-                replay.load(id, a);
             }
             TraceOp::Store(a, _) => {
                 accesses += 1;
                 ideal.store(p, a);
-                replay.store(id, a, comp[p]);
             }
             TraceOp::LoadExclusive(a) => {
                 accesses += 1;
                 ideal.load_exclusive(p, a);
-                replay.load_exclusive(id, a);
             }
-            TraceOp::Busy(_) => {}
-            TraceOp::SetComponent(c) => comp[p] = c,
+            TraceOp::Busy(_) | TraceOp::SetComponent(_) => {}
         }
     }
     let patterns = classify(&ideal.blocks);
-    let oracle = replay.oracle.stats().total();
-    let dir = replay.dir_stats();
+    let run = replay(*cfg, trace, &[]);
+    let oracle = run.oracle.total();
     Ok(AnalysisSummary {
         protocol: cfg.protocol.kind.label().to_string(),
         nodes: cfg.nodes,
@@ -488,23 +272,23 @@ pub fn analyze(cfg: &MachineConfig, trace: &Trace) -> Result<AnalysisSummary, St
         ideal_global_writes: ideal.totals.global_writes,
         ideal_ls_writes: ideal.totals.ls_writes,
         ideal_migratory_writes: ideal.totals.migratory_writes,
-        global_reads: dir.global_reads,
+        global_reads: run.dir.global_reads,
         global_writes: oracle.global_writes,
         ls_writes: oracle.ls_writes,
         migratory_writes: oracle.migratory_writes,
         eliminated: oracle.eliminated,
         eliminated_ls: oracle.eliminated_ls,
         eliminated_migratory: oracle.eliminated_migratory,
-        silent_stores: replay.silent_stores,
+        silent_stores: run.machine.silent_stores,
         ls_upper_bound: oracle.ls_writes,
-        false_sharing_fraction: replay.fs.stats().false_fraction(),
+        false_sharing_fraction: run.false_sharing.false_fraction(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccsim_engine::{replay, Trace, TraceEvent};
+    use ccsim_engine::TraceEvent;
     use ccsim_types::ProtocolKind;
 
     fn cfg(kind: ProtocolKind) -> MachineConfig {
@@ -525,8 +309,24 @@ mod tests {
         Addr(i * 4096)
     }
 
+    /// The exact counters one analysis reports, in the order
+    /// `global_reads, global_writes, ls_writes, migratory_writes,
+    /// eliminated, eliminated_ls, eliminated_migratory, silent_stores`.
+    fn exact(s: &AnalysisSummary) -> [u64; 8] {
+        [
+            s.global_reads,
+            s.global_writes,
+            s.ls_writes,
+            s.migratory_writes,
+            s.eliminated,
+            s.eliminated_ls,
+            s.eliminated_migratory,
+            s.silent_stores,
+        ]
+    }
+
     #[test]
-    fn exact_counters_match_engine_on_a_toy_trace() {
+    fn exact_counters_on_a_toy_trace() {
         // P0 runs two LS sequences on block 0; P1 interleaves one on the
         // same block (migratory hand-off); block 1 is read-shared.
         let t = trace(
@@ -542,19 +342,15 @@ mod tests {
                 ev(1, TraceOp::Load(a(1))),
             ],
         );
-        for kind in [ProtocolKind::Baseline, ProtocolKind::Ad, ProtocolKind::Ls] {
-            let c = cfg(kind);
-            let engine = replay(c, &t, &[]);
-            let s = analyze(&c, &t).unwrap();
-            let o = engine.oracle.total();
-            assert_eq!(s.global_writes, o.global_writes, "{kind:?}");
-            assert_eq!(s.ls_writes, o.ls_writes, "{kind:?}");
-            assert_eq!(s.migratory_writes, o.migratory_writes, "{kind:?}");
-            assert_eq!(s.eliminated, o.eliminated, "{kind:?}");
-            assert_eq!(s.eliminated_ls, o.eliminated_ls, "{kind:?}");
-            assert_eq!(s.silent_stores, engine.machine.silent_stores, "{kind:?}");
-            assert_eq!(s.global_reads, engine.dir.global_reads, "{kind:?}");
-            assert!(s.eliminated_ls <= s.ls_upper_bound, "{kind:?}");
+        for (kind, counters, false_sharing) in [
+            (ProtocolKind::Baseline, [5, 3, 3, 2, 0, 0, 0, 0], 0.2),
+            (ProtocolKind::Ad, [5, 3, 3, 2, 1, 1, 1, 1], 0.2),
+            (ProtocolKind::Ls, [5, 3, 3, 2, 2, 2, 2, 2], 0.0),
+        ] {
+            let s = analyze(&cfg(kind), &t).unwrap();
+            assert_eq!(exact(&s), counters, "{kind:?}");
+            assert_eq!(s.false_sharing_fraction, false_sharing, "{kind:?}");
+            assert_eq!(s.ls_upper_bound, 3, "{kind:?}");
         }
     }
 
@@ -647,7 +443,9 @@ mod tests {
     }
 
     #[test]
-    fn load_exclusive_pairs_count_like_the_engine() {
+    fn load_exclusive_pairs_count_one_eliminated_write() {
+        // The store after a load-exclusive completes in the exclusive copy:
+        // one silent store, no global read, under every protocol.
         let t = trace(
             1,
             vec![
@@ -656,13 +454,10 @@ mod tests {
             ],
         );
         for kind in [ProtocolKind::Baseline, ProtocolKind::Ad, ProtocolKind::Ls] {
-            let c = cfg(kind);
-            let engine = replay(c, &t, &[]);
-            let s = analyze(&c, &t).unwrap();
-            let o = engine.oracle.total();
-            assert_eq!(s.global_writes, o.global_writes, "{kind:?}");
-            assert_eq!(s.eliminated, o.eliminated, "{kind:?}");
-            assert_eq!(s.silent_stores, engine.machine.silent_stores, "{kind:?}");
+            let s = analyze(&cfg(kind), &t).unwrap();
+            assert_eq!(exact(&s), [0, 1, 1, 0, 1, 1, 0, 1], "{kind:?}");
+            assert_eq!(s.false_sharing_fraction, 0.0, "{kind:?}");
+            assert_eq!(s.ls_upper_bound, 1, "{kind:?}");
         }
     }
 

@@ -327,10 +327,10 @@ impl FromJson for VerifySummary {
 }
 
 /// Flat, serializable output of the static trace analyzer (`ccsim analyze`,
-/// `ccsim-lint` pass 2). Pairs the paper-taxonomy block classification
-/// (computed on an idealized infinite-cache stream pass) with a
-/// finite-cache coherence replay whose counters match the engine's LS
-/// oracle exactly on quantum-deterministic runs.
+/// [`crate::analysis`]). Pairs the paper-taxonomy block classification
+/// (computed on an idealized infinite-cache stream pass) with the exact
+/// counters of the engine's replay of the same trace, which equal the
+/// capturing run's on quantum-deterministic runs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AnalysisSummary {
     pub protocol: String,
@@ -362,7 +362,7 @@ pub struct AnalysisSummary {
     pub ideal_global_writes: u64,
     pub ideal_ls_writes: u64,
     pub ideal_migratory_writes: u64,
-    // Finite-cache coherence replay (exact match with the engine oracle).
+    // Engine replay of the trace (exact match with the capturing run).
     pub global_reads: u64,
     pub global_writes: u64,
     pub ls_writes: u64,

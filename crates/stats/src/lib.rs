@@ -8,11 +8,18 @@
 //! (ownership acquisitions vs invalidation messages) across processor
 //! counts. This crate renders all of those as aligned ASCII charts and
 //! exports machine-readable JSON for EXPERIMENTS.md.
+//!
+//! [`analysis`] is the trace analyzer behind `ccsim analyze`: it labels
+//! each block of a captured access trace with the paper's sharing pattern
+//! and takes the exact LS counters from the engine's own replay of that
+//! trace, summarized as an [`AnalysisSummary`].
 
+pub mod analysis;
 pub mod export;
 pub mod figures;
 pub mod normalized;
 
+pub use analysis::analyze;
 pub use export::{
     AnalysisSummary, ChaosSummary, ModelCheckSummary, RaceSummary, RunSummary, ServeClassLatency,
     ServeRow, ServeSummary, VerifySummary, SERVE_SCHEMA,

@@ -1,10 +1,9 @@
-//! Acceptance cross-check: the static trace analyzer's counters must
-//! *exactly* equal the engine's LS-oracle counters for quick-scale
-//! MP3D / Cholesky / LU runs under the (default) sequential quantum, on
-//! every protocol — the analyzer is an independent re-derivation of the
-//! same quantities from the captured access stream alone.
+//! Acceptance check: the trace analyzer's exact counters, taken from a
+//! replay of the captured trace, must equal the capturing run's LS-oracle
+//! counters for quick-scale MP3D / Cholesky / LU runs under the (default)
+//! sequential quantum, on every protocol.
 
-use ccsim_lint::analyze;
+use ccsim_stats::analyze;
 use ccsim_types::{MachineConfig, ProtocolKind};
 use ccsim_workloads::{capture_spec, cholesky, lu, mp3d, Spec};
 

@@ -8,11 +8,14 @@
 //!
 //! Run with: `cargo run --example protocol_microscope`
 
-use ccsim::core::{Directory, GrantKind, ReadStep, WriteStep};
+use ccsim::core::{DirTable, GrantKind, ReadStep, WriteStep};
 use ccsim::types::{Addr, BlockAddr, NodeId, ProtocolConfig, ProtocolKind};
 
+/// The one home node of the single-home directory table.
+const HOME: NodeId = NodeId(0);
+
 struct Scope {
-    dir: Directory,
+    dir: DirTable,
     block: BlockAddr,
 }
 
@@ -32,7 +35,7 @@ impl Scope {
     }
 
     fn read(&mut self, p: NodeId, owner_wrote: bool) {
-        let what = match self.dir.read(self.block, p) {
+        let what = match self.dir.read(HOME, self.block, p) {
             ReadStep::Memory { grant, .. } => match grant {
                 GrantKind::Shared => format!("{p} reads -> shared copy"),
                 GrantKind::Exclusive => format!("{p} reads -> EXCLUSIVE copy (LStemp)"),
@@ -41,7 +44,7 @@ impl Scope {
             ReadStep::Forward { owner } => {
                 let r = self
                     .dir
-                    .read_forward_result(self.block, p, owner_wrote, owner_wrote);
+                    .read_forward_result(HOME, self.block, p, owner_wrote, owner_wrote);
                 match (r.grant, r.notls) {
                     (GrantKind::Exclusive, _) => {
                         format!("{p} reads -> dirty EXCLUSIVE handoff from {owner}")
@@ -55,7 +58,7 @@ impl Scope {
     }
 
     fn write(&mut self, p: NodeId) {
-        let what = match self.dir.write(self.block, p) {
+        let what = match self.dir.write(HOME, self.block, p) {
             WriteStep::Memory {
                 invalidate,
                 data_needed,
@@ -65,7 +68,7 @@ impl Scope {
                 invalidate.len()
             ),
             WriteStep::Forward { owner } => {
-                self.dir.write_forward_result(self.block, p, true);
+                self.dir.write_forward_result(HOME, self.block, p, true);
                 format!("{p} writes -> ownership pulled from {owner}")
             }
         };
@@ -73,15 +76,16 @@ impl Scope {
     }
 
     fn evict(&mut self, p: NodeId) {
-        self.dir.replacement(self.block, p);
+        self.dir.replacement(HOME, self.block, p);
         self.show(&format!("{p} replaces its copy (capacity)"));
     }
 }
 
 fn main() {
-    let block = Addr(0x40).block(16);
+    let block_bytes = 16;
+    let block = Addr(0x40).block(block_bytes);
     let mut s = Scope {
-        dir: Directory::new(ProtocolConfig::new(ProtocolKind::Ls)),
+        dir: DirTable::new(ProtocolConfig::new(ProtocolKind::Ls), block_bytes, 1),
         block,
     };
     let (p0, p1, p2) = (NodeId(0), NodeId(1), NodeId(2));

@@ -84,7 +84,7 @@ use ccsim::model::{
 };
 use ccsim::race::check as race_check;
 use ccsim::serve::{serve_sweep, ServeConfig, StopReason};
-use ccsim::stats::{render_triptych, RaceSummary, RunSummary, Triptych};
+use ccsim::stats::{analyze, render_triptych, RaceSummary, RunSummary, Triptych};
 use ccsim::types::{Consistency, RuleMutation, Topology, TransportMutation};
 use ccsim::util::{Json, ToJson};
 use ccsim::workloads::{capture_events_spec, capture_spec, cholesky, lu, mp3d, oltp, Spec};
@@ -232,6 +232,25 @@ fn protocol_of(s: &str) -> ProtocolKind {
     }
 }
 
+/// `--protocol` for the commands that default to every protocol.
+fn protocols_of(o: &Opts) -> Vec<ProtocolKind> {
+    match o.protocol.as_deref().unwrap_or("all") {
+        "all" => ProtocolKind::ALL.to_vec(),
+        s => vec![protocol_of(s)],
+    }
+}
+
+/// `--mutation`: a seeded coherence-rule mutation, if one was named.
+fn mutation_of(o: &Opts) -> Option<RuleMutation> {
+    o.mutation.as_deref().map(|s| {
+        RuleMutation::parse(s).unwrap_or_else(|| {
+            let names: Vec<&str> = RuleMutation::ALL.iter().map(|m| m.label()).collect();
+            eprintln!("unknown mutation {s} ({})", names.join("|"));
+            usage()
+        })
+    })
+}
+
 fn spec_of(workload: &str, paper: bool, nodes: Option<u16>) -> Spec {
     match workload {
         "mp3d" => {
@@ -377,17 +396,8 @@ fn main() {
             print_run(&r, o.json);
         }
         "model" => {
-            let kinds: Vec<ProtocolKind> = match o.protocol.as_deref().unwrap_or("all") {
-                "all" => ProtocolKind::ALL.to_vec(),
-                s => vec![protocol_of(s)],
-            };
-            let mutation = o.mutation.as_deref().map(|s| {
-                RuleMutation::parse(s).unwrap_or_else(|| {
-                    let names: Vec<&str> = RuleMutation::ALL.iter().map(|m| m.label()).collect();
-                    eprintln!("unknown mutation {s} ({})", names.join("|"));
-                    usage()
-                })
-            });
+            let kinds = protocols_of(&o);
+            let mutation = mutation_of(&o);
             if let Some(f) = o.format.as_deref() {
                 if f != "github" {
                     eprintln!("unknown model format {f} (github)");
@@ -475,17 +485,8 @@ fn main() {
             }
         }
         "verify" => {
-            let kinds: Vec<ProtocolKind> = match o.protocol.as_deref().unwrap_or("all") {
-                "all" => ProtocolKind::ALL.to_vec(),
-                s => vec![protocol_of(s)],
-            };
-            let mutation = o.mutation.as_deref().map(|s| {
-                RuleMutation::parse(s).unwrap_or_else(|| {
-                    let names: Vec<&str> = RuleMutation::ALL.iter().map(|m| m.label()).collect();
-                    eprintln!("unknown mutation {s} ({})", names.join("|"));
-                    usage()
-                })
-            });
+            let kinds = protocols_of(&o);
+            let mutation = mutation_of(&o);
             if let Some(f) = o.format.as_deref() {
                 if f != "github" {
                     eprintln!("unknown verify format {f} (github)");
@@ -666,7 +667,7 @@ fn main() {
                     exit(2);
                 }
             }
-            let s = lint::analyze(&cfg, &trace).unwrap_or_else(|e| {
+            let s = analyze(&cfg, &trace).unwrap_or_else(|e| {
                 eprintln!("analyze: {e}");
                 exit(2);
             });
@@ -704,13 +705,7 @@ fn main() {
         }
         "race" => {
             let kind = protocol_of(o.protocol.as_deref().unwrap_or("ls"));
-            let mutation = o.mutation.as_deref().map(|s| {
-                RuleMutation::parse(s).unwrap_or_else(|| {
-                    let names: Vec<&str> = RuleMutation::ALL.iter().map(|m| m.label()).collect();
-                    eprintln!("unknown mutation {s} ({})", names.join("|"));
-                    usage()
-                })
-            });
+            let mutation = mutation_of(&o);
             let (cfg, log) = if let Some(path) = o.trace.as_deref() {
                 let bytes = std::fs::read(path).unwrap_or_else(|e| {
                     eprintln!("race: cannot read {path}: {e}");
@@ -755,10 +750,7 @@ fn main() {
             }
         }
         "chaos" => {
-            let kinds: Vec<ProtocolKind> = match o.protocol.as_deref().unwrap_or("all") {
-                "all" => ProtocolKind::ALL.to_vec(),
-                s => vec![protocol_of(s)],
-            };
+            let kinds = protocols_of(&o);
             let workload = o.workload.clone().unwrap_or_else(|| "mp3d".to_string());
             let paper = o.scale.as_deref() == Some("paper");
             let spec = spec_of(&workload, paper, o.nodes);
@@ -844,10 +836,7 @@ fn main() {
             }
         }
         "serve" => {
-            let kinds: Vec<ProtocolKind> = match o.protocol.as_deref().unwrap_or("all") {
-                "all" => ProtocolKind::ALL.to_vec(),
-                s => vec![protocol_of(s)],
-            };
+            let kinds = protocols_of(&o);
             let paper = o.scale.as_deref() == Some("paper");
             let mut cfg = if paper {
                 ServeConfig::paper()
