@@ -5,18 +5,25 @@
 //! BFS order makes the first counterexample found a *shortest* one — no
 //! separate minimization pass is needed.
 //!
+//! Visited states are kept only as their encodings, packed at a fixed
+//! stride ([`AbsState::encoded_len`]) into one arena and indexed by an
+//! open-addressing id table (`store.rs`). Ids are assigned in discovery
+//! order, which is BFS order, so the frontier is simply the ids past the
+//! one being expanded: the search needs no queue. Each expansion decodes
+//! one state into a reused scratch state and steps every successor in a
+//! second one, so after warm-up a transition allocates nothing.
+//!
 //! Exploration stops at the first violating transition (the counterexample
 //! is the deliverable; everything past a broken state is noise). Clean runs
 //! visit every reachable state and report the state-space metrics plus an
 //! order-independent fingerprint for regression comparison.
 
-use std::collections::VecDeque;
-
 use ccsim_core::DirStats;
-use ccsim_util::{fnv1a64, FxHashMap};
+use ccsim_util::fnv1a64;
 
 use crate::config::ModelConfig;
 use crate::state::{AbsState, Step, Violation};
+use crate::store::StateStore;
 
 /// State-space metrics of one exploration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -72,7 +79,7 @@ pub struct Exploration {
 
 /// Exhaustively explore the bounded state space of `cfg`.
 pub fn explore(cfg: &ModelConfig) -> Result<Exploration, String> {
-    explore_keeping_states(cfg).map(|(ex, _)| ex)
+    search(cfg).map(|(ex, _)| ex)
 }
 
 /// Like [`explore`], but also return every visited concrete state (in BFS
@@ -80,6 +87,21 @@ pub fn explore(cfg: &ModelConfig) -> Result<Exploration, String> {
 /// of these into the counter-abstraction domain and asserts coverage by
 /// the abstract reachable set (`tests/verify.rs`).
 pub fn explore_keeping_states(cfg: &ModelConfig) -> Result<(Exploration, Vec<AbsState>), String> {
+    let (ex, store) = search(cfg)?;
+    let pcfg = cfg.protocol()?;
+    let mut state = AbsState::initial(cfg, &pcfg);
+    let states = store
+        .iter()
+        .map(|enc| {
+            state.decode(enc);
+            state.clone()
+        })
+        .collect();
+    Ok((ex, states))
+}
+
+/// The breadth-first search behind [`explore`], returning the visited set.
+fn search(cfg: &ModelConfig) -> Result<(Exploration, StateStore), String> {
     let pcfg = cfg.protocol()?;
     // ccsim-lint: allow(wall-clock): wall_ms is reporting-only, never feeds exploration order
     // ccsim-lint: allow(determinism-taint): elapsed time lands in reporting fields only, never in keys or exported state
@@ -88,45 +110,52 @@ pub fn explore_keeping_states(cfg: &ModelConfig) -> Result<(Exploration, Vec<Abs
 
     let init = AbsState::initial(cfg, &pcfg);
     let mut metrics = Metrics::default();
-    let mut visited: FxHashMap<Vec<u8>, u32> = FxHashMap::default();
-    let mut states: Vec<AbsState> = Vec::new();
-    let mut parents: Vec<Option<(u32, Step)>> = Vec::new();
-    let mut depths: Vec<u32> = Vec::new();
-    let mut frontier: VecDeque<u32> = VecDeque::new();
+    let mut store = StateStore::new(AbsState::encoded_len(cfg));
+    // Parent link of every state but the initial one (id 0), by id − 1.
+    let mut parents: Vec<(u32, Step)> = Vec::new();
     let mut terminal_states = 0u64;
 
-    let enc = init.encode();
+    // Scratch buffers, reused by every expansion and transition.
+    let mut enc = Vec::new();
+    let mut steps = Vec::new();
+    let mut cur = init.clone();
+    let mut next = init.clone();
+
+    init.encode_into(&mut enc);
     metrics.state_fingerprint ^= fnv1a64(&enc);
-    visited.insert(enc, 0);
-    states.push(init);
-    parents.push(None);
-    depths.push(0);
-    frontier.push_back(0);
+    store.insert(&enc);
     metrics.states = 1;
     metrics.max_frontier = 1;
 
-    while let Some(id) = frontier.pop_front() {
-        let depth = depths[id as usize];
-        let steps = states[id as usize].enabled_steps(cfg);
+    // BFS levels are contiguous id ranges: `depth` is the level of `id`,
+    // and `level_end` the first id of the next level.
+    let (mut depth, mut level_end) = (0u32, 1usize);
+    let mut id = 0usize;
+    while id < store.len() {
+        if id == level_end {
+            depth += 1;
+            level_end = store.len();
+        }
+        cur.decode(store.get(id));
+        cur.enabled_steps_into(cfg, &mut steps);
         if steps.is_empty() {
-            let budget: u32 = states[id as usize].budget.iter().map(|&b| b as u32).sum();
+            let budget: u32 = cur.budget.iter().map(|&b| b as u32).sum();
             assert_eq!(budget, 0, "deadlock: no enabled step but budget remains");
             terminal_states += 1;
-            continue;
         }
-        for step in steps {
-            let mut next = states[id as usize].clone();
+        for &step in &steps {
+            next.copy_from(&cur);
             let violations = next.apply(cfg, &pcfg, &mut stats, step);
             metrics.transitions += 1;
             if let Some(v) = violations.into_iter().next() {
-                let mut path = Vec::new();
-                let mut cur = id as usize;
-                while let Some((parent, s)) = parents[cur] {
+                let mut path = vec![step];
+                let mut at = id;
+                while at > 0 {
+                    let (parent, s) = parents[at - 1];
                     path.push(s);
-                    cur = parent as usize;
+                    at = parent as usize;
                 }
                 path.reverse();
-                path.push(step);
                 metrics.max_depth = metrics.max_depth.max(depth + 1);
                 metrics.wall_ms = start.elapsed().as_millis() as u64;
                 return Ok((
@@ -139,25 +168,23 @@ pub fn explore_keeping_states(cfg: &ModelConfig) -> Result<(Exploration, Vec<Abs
                         }),
                         terminal_states,
                     },
-                    states,
+                    store,
                 ));
             }
-            let enc = next.encode();
-            if visited.contains_key(&enc) {
+            next.encode_into(&mut enc);
+            if store.insert(&enc).is_none() {
                 metrics.dedup_hits += 1;
                 continue;
             }
-            let nid = states.len() as u32;
             metrics.state_fingerprint ^= fnv1a64(&enc);
-            visited.insert(enc, nid);
-            states.push(next);
-            parents.push(Some((id, step)));
-            depths.push(depth + 1);
-            frontier.push_back(nid);
+            parents.push((id as u32, step));
             metrics.states += 1;
             metrics.max_depth = metrics.max_depth.max(depth + 1);
-            metrics.max_frontier = metrics.max_frontier.max(frontier.len() as u64);
+            // The frontier is every id after the one being expanded.
+            let frontier = store.len() - id - 1;
+            metrics.max_frontier = metrics.max_frontier.max(frontier as u64);
         }
+        id += 1;
     }
     metrics.wall_ms = start.elapsed().as_millis() as u64;
     Ok((
@@ -167,7 +194,7 @@ pub fn explore_keeping_states(cfg: &ModelConfig) -> Result<(Exploration, Vec<Abs
             counterexample: None,
             terminal_states,
         },
-        states,
+        store,
     ))
 }
 

@@ -71,6 +71,7 @@ pub mod lattice;
 pub mod refine;
 pub mod replay;
 pub mod state;
+mod store;
 pub mod summary;
 
 pub use abstraction::{verify, AbsStep, AbstractCex, Verification, VerifyMetrics};

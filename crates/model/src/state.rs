@@ -24,10 +24,10 @@
 //! [`copy_violations`] safety conditions.
 
 use ccsim_core::rules::{self, AcquirePurpose, CopyState, LocalReadExcl, LocalStore, SafetyRule};
-use ccsim_core::{DirEntry, DirStats, HomeState, ReadStep, WriteStep};
+use ccsim_core::{DirEntry, DirStats, HomeState, ReadStep, SharerSet, WriteStep};
 use ccsim_types::{BlockAddr, NodeId, ProtocolConfig, TransportMutation};
 
-use crate::config::{ModelConfig, MAX_BLOCKS};
+use crate::config::{ModelConfig, MAX_BLOCKS, MAX_NODES};
 
 /// A cached copy: coherence state plus the abstract data value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,6 +132,55 @@ fn dup_bit(node: usize, block: u8) -> u32 {
     1 << (node as u32 * MAX_BLOCKS as u32 + block as u32)
 }
 
+/// [`CopyState`]s by their encoded byte (`state as u8`).
+const COPY_STATES: [CopyState; 4] = [
+    CopyState::Shared,
+    CopyState::Excl,
+    CopyState::ExclDirty,
+    CopyState::Modified,
+];
+
+/// A cursor over one encoding, for [`AbsState::decode`].
+struct Reader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    /// Nodes of the encoded state.
+    nodes: usize,
+}
+
+impl Reader<'_> {
+    fn byte(&mut self) -> u8 {
+        let b = *self
+            .bytes
+            .get(self.at)
+            .unwrap_or_else(|| panic!("encoding ends at byte {}", self.at));
+        self.at += 1;
+        b
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes([self.byte(), self.byte(), self.byte(), self.byte()])
+    }
+
+    /// Node `n`, which must be one of the state's nodes.
+    fn node(&self, n: u8) -> NodeId {
+        let nodes = self.nodes;
+        assert!(
+            (n as usize) < nodes,
+            "node {n} out of range for {nodes} nodes"
+        );
+        NodeId(n as u16)
+    }
+
+    /// An optional node reference: `0xFF` is `None`.
+    fn opt_node(&mut self) -> Option<NodeId> {
+        match self.byte() {
+            0xFF => None,
+            n => Some(self.node(n)),
+        }
+    }
+}
+
 impl AbsState {
     pub fn initial(cfg: &ModelConfig, pcfg: &ProtocolConfig) -> AbsState {
         AbsState {
@@ -150,26 +199,49 @@ impl AbsState {
         }
     }
 
+    /// Length of every state's [`encode`](Self::encode)ing under `cfg`:
+    /// per block 10 entry/value bytes plus a (state, value) pair per node,
+    /// then the budgets, the fault budget and the two duplicate masks.
+    pub fn encoded_len(cfg: &ModelConfig) -> usize {
+        let nodes = cfg.nodes as usize;
+        cfg.blocks as usize * (10 + 2 * nodes) + nodes + 9
+    }
+
     /// Canonical byte encoding — the deduplication key of the visited set.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.blocks.len() * 24 + self.budget.len());
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// [`encode`](Self::encode) into `out`, replacing its contents.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
         for b in &self.blocks {
             let e = &b.entry;
+            // DSI's tear-off fields are not encoded: the model rejects DSI,
+            // so they keep their fresh values and decode restores those.
+            assert!(
+                !e.tear && e.tear_reads == 0,
+                "tear-off state outside DSI: {e:?}"
+            );
             let (tag, owner) = match e.state {
                 HomeState::Uncached => (0u8, 0xFF),
                 HomeState::Shared => (1, 0xFF),
                 HomeState::Owned(o) => (2, o.0 as u8),
             };
-            out.push(tag);
-            out.push(owner);
-            out.push(e.sharers.iter().fold(0u8, |m, n| m | (1 << n.0)));
-            out.push(e.lr.map_or(0xFF, |n| n.0 as u8));
-            out.push(e.tagged as u8);
-            out.push(e.last_writer.map_or(0xFF, |n| n.0 as u8));
-            out.push(e.tag_votes);
-            out.push(e.detag_votes);
-            out.push(b.mem);
-            out.push(b.golden);
+            out.extend_from_slice(&[
+                tag,
+                owner,
+                e.sharers.iter().fold(0u8, |m, n| m | (1 << n.0)),
+                e.lr.map_or(0xFF, |n| n.0 as u8),
+                e.tagged as u8,
+                e.last_writer.map_or(0xFF, |n| n.0 as u8),
+                e.tag_votes,
+                e.detag_votes,
+                b.mem,
+                b.golden,
+            ]);
             for c in &b.copies {
                 match c {
                     None => out.extend_from_slice(&[0xFF, 0]),
@@ -178,10 +250,99 @@ impl AbsState {
             }
         }
         out.extend_from_slice(&self.budget);
-        out.push(self.faults_left);
-        out.extend_from_slice(&self.dup_reads.to_le_bytes());
-        out.extend_from_slice(&self.dup_writes.to_le_bytes());
-        out
+        let [r0, r1, r2, r3] = self.dup_reads.to_le_bytes();
+        let [w0, w1, w2, w3] = self.dup_writes.to_le_bytes();
+        out.extend_from_slice(&[self.faults_left, r0, r1, r2, r3, w0, w1, w2, w3]);
+    }
+
+    /// Overwrite `self` with the state `bytes` encodes — the exact inverse
+    /// of [`encode`](Self::encode). `self` must already have the encoded
+    /// state's shape (its node and block counts), as any state of the same
+    /// [`ModelConfig`] does; then decoding allocates nothing. Bytes no
+    /// encoding produces panic rather than decode to a guess.
+    pub fn decode(&mut self, bytes: &[u8]) {
+        let nodes = self.budget.len();
+        let mut r = Reader {
+            bytes,
+            at: 0,
+            nodes,
+        };
+        for b in &mut self.blocks {
+            let (tag, owner) = (r.byte(), r.byte());
+            let state = match (tag, owner) {
+                (0, 0xFF) => HomeState::Uncached,
+                (1, 0xFF) => HomeState::Shared,
+                (2, o) => HomeState::Owned(r.node(o)),
+                _ => panic!("bad home state encoding ({tag}, {owner})"),
+            };
+            let mask = r.byte();
+            let mut sharers = SharerSet::EMPTY;
+            for n in 0..u8::BITS as u8 {
+                if mask & (1 << n) != 0 {
+                    sharers.insert(r.node(n));
+                }
+            }
+            let lr = r.opt_node();
+            let tagged = match r.byte() {
+                0 => false,
+                1 => true,
+                t => panic!("bad tag bit encoding {t}"),
+            };
+            b.entry = DirEntry {
+                state,
+                sharers,
+                lr,
+                tagged,
+                last_writer: r.opt_node(),
+                tag_votes: r.byte(),
+                detag_votes: r.byte(),
+                tear: false,
+                tear_reads: 0,
+            };
+            b.mem = r.byte();
+            b.golden = r.byte();
+            assert_eq!(
+                b.copies.len(),
+                nodes,
+                "blocks and budgets disagree on nodes"
+            );
+            for c in &mut b.copies {
+                *c = match (r.byte(), r.byte()) {
+                    (0xFF, 0) => None,
+                    (s, val) => Some(CopyVal {
+                        state: *COPY_STATES
+                            .get(s as usize)
+                            .unwrap_or_else(|| panic!("bad copy state encoding {s}")),
+                        val,
+                    }),
+                };
+            }
+        }
+        for left in &mut self.budget {
+            *left = r.byte();
+        }
+        self.faults_left = r.byte();
+        self.dup_reads = r.u32();
+        self.dup_writes = r.u32();
+        assert_eq!(r.at, bytes.len(), "encoding of another shape");
+    }
+
+    /// Overwrite `self` with `other`. Unlike `clone`, this reuses `self`'s
+    /// buffers, so it allocates nothing once the two share a shape.
+    pub fn copy_from(&mut self, other: &AbsState) {
+        self.blocks.truncate(other.blocks.len());
+        let kept = self.blocks.len();
+        for (b, o) in self.blocks.iter_mut().zip(&other.blocks) {
+            b.entry = o.entry;
+            b.copies.clone_from(&o.copies);
+            b.mem = o.mem;
+            b.golden = o.golden;
+        }
+        self.blocks.extend_from_slice(&other.blocks[kept..]);
+        self.budget.clone_from(&other.budget);
+        self.faults_left = other.faults_left;
+        self.dup_reads = other.dup_reads;
+        self.dup_writes = other.dup_writes;
     }
 
     /// All transitions enabled in this state. `Load` is enabled whenever a
@@ -190,6 +351,14 @@ impl AbsState {
     /// (asserted by the explorer).
     pub fn enabled_steps(&self, cfg: &ModelConfig) -> Vec<Step> {
         let mut steps = Vec::new();
+        self.enabled_steps_into(cfg, &mut steps);
+        steps
+    }
+
+    /// [`enabled_steps`](Self::enabled_steps) into `steps`, replacing its
+    /// contents.
+    pub fn enabled_steps_into(&self, cfg: &ModelConfig, steps: &mut Vec<Step>) {
+        steps.clear();
         for (p, &left) in self.budget.iter().enumerate() {
             if left == 0 {
                 continue;
@@ -262,7 +431,6 @@ impl AbsState {
                 }
             }
         }
-        steps
     }
 
     /// Execute one transition in place, returning every safety violation it
@@ -558,13 +726,16 @@ holds no ownable copy"
         let mut out = Vec::new();
         for (bi, b) in self.blocks.iter().enumerate() {
             let baddr = BlockAddr(bi as u64 * 16);
-            let holders: Vec<(NodeId, CopyState)> = b
-                .copies
-                .iter()
-                .enumerate()
-                .filter_map(|(n, c)| c.map(|c| (NodeId(n as u16), c.state)))
-                .collect();
-            for (rule, detail) in rules::copy_violations(pcfg.kind, baddr, Some(&b.entry), &holders)
+            let mut holders = [(NodeId(0), CopyState::Shared); MAX_NODES as usize];
+            let mut held = 0;
+            for (n, c) in b.copies.iter().enumerate() {
+                if let Some(c) = c {
+                    holders[held] = (NodeId(n as u16), c.state);
+                    held += 1;
+                }
+            }
+            let holders = &holders[..held];
+            for (rule, detail) in rules::copy_violations(pcfg.kind, baddr, Some(&b.entry), holders)
             {
                 out.push(Violation { rule, detail });
             }

@@ -3,10 +3,14 @@
 //! the checker catches seeded protocol bugs with counterexamples that
 //! replay to concrete engine-level invariant failures.
 
+use ccsim_core::DirStats;
 use ccsim_engine::InvariantMode;
-use ccsim_model::{explore, replay_counterexample, summarize, ModelConfig, OpKind};
+use ccsim_model::{
+    explore, replay_counterexample, summarize, verify, AbsState, ModelConfig, OpKind,
+};
 use ccsim_stats::ModelCheckSummary;
 use ccsim_types::{ProtocolKind, RuleMutation, TransportMutation};
+use ccsim_util::check;
 
 // --- Clean exhaustive explorations (the main verification result) ------
 
@@ -40,7 +44,8 @@ fn two_nodes_one_block_is_clean_for_all_protocols() {
 fn three_nodes_one_block_is_clean_for_all_protocols() {
     // ~15-24k states per protocol at a budget of 3 — exhaustive but still
     // fast in debug builds. The full budget-4 space (~60-93k states) is
-    // covered by the release-mode CI model-check job.
+    // covered by the ignored benchmark-cell pin test, which CI's
+    // release-mode model-check step runs.
     for kind in ProtocolKind::ALL {
         assert_clean(&ModelConfig::new(kind).with_nodes(3).with_max_ops(3));
     }
@@ -54,10 +59,141 @@ fn two_blocks_exercise_eviction_interleavings_cleanly() {
 }
 
 #[test]
-#[ignore = "large state space (~300k states); run with --ignored or via CI's release job"]
+#[ignore = "~190-310k states per protocol; run with --include-ignored (CI's release model-check step does)"]
 fn four_nodes_one_block_is_clean_for_all_protocols() {
     for kind in ProtocolKind::ALL {
         assert_clean(&ModelConfig::new(kind).with_nodes(4).with_max_ops(3));
+    }
+}
+
+// --- Pinned state spaces ------------------------------------------------
+//
+// The exact output of every exploration below, per protocol. Any change to
+// the explorer's store, BFS order or transition relation that moves one of
+// these numbers changes what the checker explored; a pure speedup must
+// leave every literal in place.
+
+/// `(states, transitions, dedup_hits, max_frontier, max_depth,
+/// state_fingerprint, terminal_states)`, in `ProtocolKind::ALL` order.
+type Pins = [(u64, u64, u64, u64, u32, u64, u64); 3];
+
+fn assert_pinned(cfg: ModelConfig, pins: &Pins) {
+    for (kind, &pin) in ProtocolKind::ALL.into_iter().zip(pins) {
+        let ex = explore(&ModelConfig { kind, ..cfg }).unwrap();
+        assert!(ex.counterexample.is_none(), "{kind:?} violated");
+        let m = ex.metrics;
+        let got = (
+            m.states,
+            m.transitions,
+            m.dedup_hits,
+            m.max_frontier,
+            m.max_depth,
+            m.state_fingerprint,
+            ex.terminal_states,
+        );
+        assert_eq!(
+            got, pin,
+            "{kind:?} n={} b={} ops={} faults={}",
+            cfg.nodes, cfg.blocks, cfg.max_ops, cfg.fault_budget
+        );
+    }
+}
+
+#[test]
+fn small_state_spaces_are_pinned_exactly() {
+    let base = ModelConfig::new(ProtocolKind::Baseline);
+    assert_pinned(
+        base,
+        &[
+            (3171, 13258, 10088, 873, 8, 0x6819dcd7e4b5e048, 472),
+            (3913, 15886, 11974, 1100, 8, 0x52d81e0a8a648d5e, 654),
+            (2801, 11220, 8420, 778, 8, 0xf24ab9d489f29a83, 472),
+        ],
+    );
+    assert_pinned(
+        base.with_nodes(3).with_max_ops(3),
+        &[
+            (19441, 110805, 91365, 5435, 9, 0xffc563814d571303, 1395),
+            (23953, 133188, 109236, 6749, 9, 0xf3ba22bed5412061, 1896),
+            (14902, 82833, 67932, 4072, 9, 0x9dd57dc9618e508d, 1224),
+        ],
+    );
+    assert_pinned(
+        base.with_fault_budget(2),
+        &[
+            (39355, 211402, 172048, 10741, 10, 0x7bb04675606e84ee, 3364),
+            (51555, 271448, 219894, 14100, 10, 0x7f285f2bd16d5213, 4960),
+            (45689, 237078, 191390, 12292, 10, 0x3c8063b965f4d2ec, 4412),
+        ],
+    );
+}
+
+#[test]
+#[ignore = "~60-93k states per protocol; run with --include-ignored (CI's release model-check step does)"]
+fn the_benchmark_state_space_is_pinned_exactly() {
+    // The `model_check` benchmark's exploration cell.
+    assert_pinned(
+        ModelConfig::new(ProtocolKind::Baseline).with_nodes(3),
+        &[
+            (70738, 472464, 401727, 14897, 12, 0xc11fd1ed3ad6ae59, 2391),
+            (92815, 608079, 515265, 19703, 12, 0x57f398f1eb701f86, 3513),
+            (58924, 383184, 324261, 12638, 12, 0xd31945d80eab5f2a, 2322),
+        ],
+    );
+}
+
+#[test]
+#[ignore = "~190-310k states per protocol; run with --include-ignored (CI's release model-check step does)"]
+fn the_four_node_state_space_is_pinned_exactly() {
+    assert_pinned(
+        ModelConfig::new(ProtocolKind::Baseline)
+            .with_nodes(4)
+            .with_max_ops(3),
+        &[
+            (
+                245981,
+                1979056,
+                1733076,
+                55753,
+                12,
+                0xc6984a9aee0fdeac,
+                5040,
+            ),
+            (
+                308041,
+                2435644,
+                2127604,
+                70804,
+                12,
+                0x94951eb8695548f0,
+                6880,
+            ),
+            (
+                188601,
+                1495348,
+                1306748,
+                43728,
+                12,
+                0xfb99d22bf8c91895,
+                4468,
+            ),
+        ],
+    );
+}
+
+#[test]
+fn parametric_proofs_are_pinned_exactly() {
+    // `(states, transitions, fingerprint)` of `verify`, per protocol.
+    let pins = [
+        (25, 697, 0xfc5b172f82649a2a),
+        (31, 796, 0x34bca629946fbeb0),
+        (29, 798, 0x6acd7232e6378413),
+    ];
+    for (kind, pin) in ProtocolKind::ALL.into_iter().zip(pins) {
+        let v = verify(&ModelConfig::new(kind)).unwrap();
+        assert!(v.counterexample.is_none(), "{kind:?} violated");
+        let m = v.metrics;
+        assert_eq!((m.states, m.transitions, m.fingerprint), pin, "{kind:?}");
     }
 }
 
@@ -75,6 +211,41 @@ fn exploration_is_deterministic_and_summarizable() {
     let back = ModelCheckSummary::parse(&s.to_json()).unwrap();
     assert_eq!(back, s);
     assert_eq!(back.state_fingerprint, a.metrics.state_fingerprint);
+}
+
+// --- The visited-set encoding ------------------------------------------
+
+#[test]
+fn decoding_inverts_encoding_along_random_walks() {
+    // The explorer keeps visited states only as encodings, so every field
+    // of every reachable state must survive the round trip. Decoding into
+    // a scratch state that still holds the previous state of the walk also
+    // proves decode overwrites every field.
+    check::cases(200, |g| {
+        let kind = *g.pick(&ProtocolKind::ALL);
+        let cfg = ModelConfig::new(kind)
+            .with_nodes(g.range(2, 5) as u16)
+            .with_blocks(g.range(1, 3) as u8)
+            .with_max_ops(g.range(1, 5) as u8)
+            .with_fault_budget(g.range(0, 3) as u8);
+        let pcfg = cfg.protocol().unwrap();
+        let mut stats = DirStats::default();
+        let mut state = AbsState::initial(&cfg, &pcfg);
+        let mut scratch = state.clone();
+        loop {
+            let enc = state.encode();
+            assert_eq!(enc.len(), AbsState::encoded_len(&cfg), "{cfg:?}");
+            scratch.decode(&enc);
+            assert_eq!(scratch, state, "{cfg:?}");
+            let steps = state.enabled_steps(&cfg);
+            if steps.is_empty() {
+                break;
+            }
+            let step = *g.pick(&steps);
+            let v = state.apply(&cfg, &pcfg, &mut stats, step);
+            assert!(v.is_empty(), "{cfg:?} {step}: {v:?}");
+        }
+    });
 }
 
 // --- Mutation tests: the checker catches seeded protocol bugs ----------

@@ -335,6 +335,25 @@ fn config_of(o: &Opts, workload: &str, kind: ProtocolKind) -> MachineConfig {
     cfg
 }
 
+/// Read a saved `--trace` file for subcommand `cmd` and widen the machine
+/// to the trace's processor count. Unreadable or malformed input exits 2
+/// with a `cmd:` prefix.
+fn load_trace(cmd: &str, path: &str, o: &Opts, kind: ProtocolKind) -> (MachineConfig, Trace) {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| {
+        eprintln!("{cmd}: cannot read {path}: {e}");
+        exit(2);
+    });
+    let trace = Trace::from_bytes(&bytes).unwrap_or_else(|e| {
+        eprintln!("{cmd}: {path}: {e}");
+        exit(2);
+    });
+    let mut cfg = config_of(o, o.workload.as_deref().unwrap_or(""), kind);
+    if cfg.nodes < trace.procs() {
+        cfg = cfg.with_nodes(trace.procs());
+    }
+    (cfg, trace)
+}
+
 fn print_run(r: &RunStats, json: bool) {
     if json {
         println!("{}", RunSummary::from_stats(r).to_json());
@@ -640,19 +659,7 @@ fn main() {
         "analyze" => {
             let kind = protocol_of(o.protocol.as_deref().unwrap_or("ls"));
             let (cfg, trace) = if let Some(path) = o.trace.as_deref() {
-                let bytes = std::fs::read(path).unwrap_or_else(|e| {
-                    eprintln!("analyze: cannot read {path}: {e}");
-                    exit(2);
-                });
-                let trace = Trace::from_bytes(&bytes).unwrap_or_else(|e| {
-                    eprintln!("analyze: {path}: {e}");
-                    exit(2);
-                });
-                let mut cfg = config_of(&o, o.workload.as_deref().unwrap_or(""), kind);
-                if cfg.nodes < trace.procs() {
-                    cfg = cfg.with_nodes(trace.procs());
-                }
-                (cfg, trace)
+                load_trace("analyze", path, &o, kind)
             } else {
                 let workload = o.workload.clone().unwrap_or_else(|| usage());
                 let paper = o.scale.as_deref() == Some("paper");
@@ -707,19 +714,8 @@ fn main() {
             let kind = protocol_of(o.protocol.as_deref().unwrap_or("ls"));
             let mutation = mutation_of(&o);
             let (cfg, log) = if let Some(path) = o.trace.as_deref() {
-                let bytes = std::fs::read(path).unwrap_or_else(|e| {
-                    eprintln!("race: cannot read {path}: {e}");
-                    exit(2);
-                });
-                let trace = Trace::from_bytes(&bytes).unwrap_or_else(|e| {
-                    eprintln!("race: {path}: {e}");
-                    exit(2);
-                });
-                let mut cfg = config_of(&o, o.workload.as_deref().unwrap_or(""), kind);
-                if cfg.nodes < trace.procs() {
-                    cfg = cfg.with_nodes(trace.procs());
-                }
-                cfg = with_mutation(cfg, mutation);
+                let (cfg, trace) = load_trace("race", path, &o, kind);
+                let cfg = with_mutation(cfg, mutation);
                 let (_, log) = replay_events(cfg, &trace, &[]);
                 (cfg, log)
             } else {
