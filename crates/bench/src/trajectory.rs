@@ -209,8 +209,8 @@ pub fn compare(
         }
         // Speedup floor: machine-independent, so no band — a metric whose
         // baseline cleared the floor must keep clearing it. (Metrics that
-        // merely *record* a sub-floor ratio, like the planning-parallel
-        // replay lane, are informational and not gated.)
+        // merely *record* a sub-floor ratio are informational and not
+        // gated.)
         if base.speedup_per_mille >= tol.min_speedup_per_mille
             && cur.speedup_per_mille < tol.min_speedup_per_mille
         {
@@ -270,9 +270,7 @@ fn run_live(
 ///   speedup reference is the seed's thread-per-processor backend, so the
 ///   ratio records the within-run engine speedup this trajectory exists to
 ///   defend (the ≥1.5× acceptance bar).
-/// * `replay_serial_<w>` / `replay_threads4_<w>` — trace replay through the
-///   serial path and the 4-worker planning-parallel sweep (informational:
-///   commits are serial by design, so this ratio hovers near 1×).
+/// * `replay_serial_<w>` — trace replay through `ccsim_engine::replay`.
 /// * `warm_cache_replay_<w>` — re-running the workload through the run
 ///   cache with a warm entry (deserialize instead of simulate).
 pub fn measure_quick(bench: &str) -> BenchSummary {
@@ -313,19 +311,12 @@ pub fn measure_quick(bench: &str) -> BenchSummary {
             Some(threads_us),
         ));
 
-        let (serial_us, _) = timed(|| ccsim_engine::replay_with_threads(cfg, &trace, &[], 1));
-        let (par_us, _) = timed(|| ccsim_engine::replay_with_threads(cfg, &trace, &[], 4));
+        let (replay_us, _) = timed(|| ccsim_engine::replay(cfg, &trace, &[]));
         metrics.push(BenchMetric::from_timing(
             &format!("replay_serial_{name}"),
-            serial_us,
+            replay_us,
             accesses,
             None,
-        ));
-        metrics.push(BenchMetric::from_timing(
-            &format!("replay_threads4_{name}"),
-            par_us,
-            accesses,
-            Some(serial_us),
         ));
 
         run_cached_at(cfg, spec, CacheMode::ReadWrite, &cache_dir); // cold fill
@@ -348,14 +339,11 @@ pub fn measure_quick(bench: &str) -> BenchSummary {
 
 /// Measure the serve-scale trajectory (`BENCH_0008`): the quick serve
 /// sweep at two zipf skew points (s = 0.5 mild, s = 1.2 hot), each run
-/// across Baseline/AD/LS serially and with a 4-worker sweep.
+/// across Baseline/AD/LS.
 ///
 /// Two metric families per skew point:
 ///
-/// * `serve_sweep_serial_<s>` / `serve_sweep_threads4_<s>` — wall-clock of
-///   the sweep; the threads4 speedup records the across-run parallelism of
-///   independent protocol runs (near-ideal, unlike the planning-parallel
-///   replay lane).
+/// * `serve_sweep_serial_<s>` — wall-clock of the sweep.
 /// * `serve_p99c_<protocol>_<s>` — the RMW class's p99 in **simulated
 ///   cycles**, carried in the `wall_us` field. These are bit-deterministic
 ///   (no runner noise at all), so the comparator's wall-clock band doubles
@@ -376,20 +364,13 @@ pub fn measure_serve(bench: &str) -> BenchSummary {
         cfg.ward.max_cycles = 1_200_000;
         cfg.skew_per_mille = skew;
 
-        let (serial_us, reports) = timed(|| serve_sweep(base, &cfg, &ProtocolKind::ALL, 1));
+        let (sweep_us, reports) = timed(|| serve_sweep(base, &cfg, &ProtocolKind::ALL));
         let completed: u64 = reports.iter().map(|r| r.completed).sum();
-        let (par_us, _) = timed(|| serve_sweep(base, &cfg, &ProtocolKind::ALL, 4));
         metrics.push(BenchMetric::from_timing(
             &format!("serve_sweep_serial_{tag}"),
-            serial_us,
+            sweep_us,
             completed,
             None,
-        ));
-        metrics.push(BenchMetric::from_timing(
-            &format!("serve_sweep_threads4_{tag}"),
-            par_us,
-            completed,
-            Some(serial_us),
         ));
 
         let s = summarize(&cfg, &reports);

@@ -25,9 +25,7 @@
 //! statistics split by home node. Although every block has a unique home
 //! node, entries live in one machine-wide slab: the home is a pure function
 //! of the address, so per-home maps bought no sharding benefit, only
-//! `nodes` separate hash tables. Per-shard *ownership* for the parallel
-//! sweep is by block-index hash (see `ccsim-engine`'s `shard` module), which
-//! this flat layout makes cheap.
+//! `nodes` separate hash tables.
 
 use crate::entry::{DirEntry, Fig1State};
 use crate::outcome::{ReadResolution, ReadStep, WriteResolution, WriteStep};

@@ -44,7 +44,6 @@ pub mod machine;
 pub mod oracle;
 pub mod parallel;
 pub mod run;
-pub mod shard;
 pub mod stats;
 pub mod trace;
 
@@ -52,11 +51,6 @@ pub use events::{CoherenceEvent, EventKind, EventLog, EventLogError, WriteHow};
 pub use invariants::{InvariantMode, InvariantReport, InvariantRule, InvariantViolation};
 pub use machine::{Machine, StallKind};
 pub use oracle::{Component, FalseSharingStats, OracleStats};
-pub use parallel::{
-    parse_sim_threads, replay_checked_with_threads, replay_events_with_threads,
-    replay_with_threads, sim_threads_from_env,
-};
 pub use run::{EngineKind, FinishedSim, HaltHandle, Proc, SimBuilder, DEFAULT_WATCHDOG_CYCLES};
-pub use shard::{merge_plans, PlanKey, ShardMap};
 pub use stats::{ProcTimes, RunStats};
 pub use trace::{replay, replay_checked, replay_events, Trace, TraceError, TraceEvent, TraceOp};

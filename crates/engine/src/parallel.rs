@@ -1,311 +1,22 @@
-//! Planning-parallel / commit-serial replay: the within-run parallel lane.
+//! The one name left from the deleted planning-parallel replay sweep.
 //!
-//! The program-driven engine cannot fan out across OS threads — workload
-//! closures are irreversible `FnOnce` state, and the quantum-synchronous
-//! schedule admits one processor at a time (its single-run speedup comes
-//! from the fiber backend, see [`crate::fiber`]). The *trace-replay* lane
-//! has no such constraint: captured operations are plain data, so the
-//! expensive per-operation decode (block, home node, shard) can be computed
-//! by a worker pool while commits stay serial. The sweep has three stages:
-//!
-//! 1. **Plan (parallel).** The capture stream is split into contiguous
-//!    chunks, one per worker of the shared bounded pool
-//!    (`ccsim_util::pool`). Each worker decodes its chunk's footprints —
-//!    block shard under the [`ShardMap`] partition and home node — into a
-//!    per-worker buffer, every record tagged with a total-order
-//!    [`PlanKey`] `(quantum, node, seq)` where `quantum` is the event's
-//!    position in the captured schedule (capture order *is* global
-//!    simulated-time order, the engine admits one runner per quantum).
-//! 2. **Merge (deterministic).** Buffers are merged by stable sort on the
-//!    key ([`crate::shard::merge_plans`]). Unique keys make the canonical
-//!    order independent of worker count and work distribution — the
-//!    property the shard-merge property test pins.
-//! 3. **Frame + commit (serial).** The merged footprints are grouped into
-//!    *frames* — maximal runs with at most one operation per processor and
-//!    pairwise-disjoint footprints (shard and home) — and committed frame
-//!    by frame through the same [`ReplayState`] the serial path uses, in
-//!    capture order within and across frames.
-//!
-//! Determinism argument: stage 1 computes pure functions of `(cfg, event)`;
-//! stage 2 is canonical by key uniqueness; stage 3 touches the machine in
-//! exactly the serial path's order. Therefore `CCSIM_SIM_THREADS=N` is
-//! bit-identical to `N=1` for every statistic, event log, invariant report
-//! and downstream fingerprint — not approximately, but by construction.
-//! The parallel-determinism suite and the CI gate enforce it anyway.
-//!
-//! Armed fault injection ([`ccsim_types::FaultConfig::enabled`]) forces
-//! every frame to a single operation: faults perturb timing only, but
-//! frame-packing decisions must not depend on a fault plan the planners
-//! have not observed.
+//! Trace replay is a single serial commit loop ([`crate::trace::replay`]).
+//! This module survives only because the benchmark package
+//! (`benchmark/src/layers.rs`) imports [`replay_with_threads`] by this path;
+//! it goes once that import does.
 
 use ccsim_types::{Addr, MachineConfig};
-use ccsim_util::pool;
 
-use crate::invariants::{InvariantMode, InvariantReport};
-use crate::shard::{merge_plans, PlanKey, ShardMap};
 use crate::stats::RunStats;
-use crate::trace::{ReplayState, Trace, TraceOp};
+use crate::trace::Trace;
 
-/// Parse a thread-count setting: positive integers pass, everything else
-/// (absent, zero, garbage) means single-threaded.
-pub fn parse_sim_threads(raw: Option<&str>) -> usize {
-    raw.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
-/// The `CCSIM_SIM_THREADS` setting: how many workers the replay sweep's
-/// planning stage uses. `1` (the default) selects the plain serial path.
-pub fn sim_threads_from_env() -> usize {
-    parse_sim_threads(std::env::var("CCSIM_SIM_THREADS").ok().as_deref())
-}
-
-/// What one captured operation touches: its directory shard and home node,
-/// or nothing (`Busy`/`SetComponent` never reach the coherence layer).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Footprint {
-    /// Processor issuing the operation.
-    pub proc: u16,
-    /// Shard of the touched block under the sweep's [`ShardMap`].
-    pub shard: Option<u32>,
-    /// Home node of the touched block.
-    pub home: Option<u16>,
-}
-
-fn footprint_of(cfg: &MachineConfig, map: &ShardMap, proc: u16, op: &TraceOp) -> Footprint {
-    let addr = match op {
-        TraceOp::Load(a) | TraceOp::LoadExclusive(a) | TraceOp::Store(a, _) => Some(*a),
-        TraceOp::Busy(_) | TraceOp::SetComponent(_) => None,
-    };
-    match addr {
-        Some(a) => Footprint {
-            proc,
-            shard: Some(map.shard_of(a.block(cfg.block_bytes())) as u32),
-            home: Some(ccsim_mem::pages::home_node(a, cfg.page_bytes, cfg.nodes).0),
-        },
-        None => Footprint {
-            proc,
-            shard: None,
-            home: None,
-        },
-    }
-}
-
-/// Stage 1 + 2: plan every event's footprint across `threads` workers and
-/// merge the per-worker buffers into capture order. The result is the same
-/// for every `threads >= 1` (pinned by tests).
-pub fn plan_footprints(
-    cfg: &MachineConfig,
-    trace: &Trace,
-    threads: usize,
-    map: &ShardMap,
-) -> Vec<Footprint> {
-    let events = trace.events();
-    let ranges = pool::chunk_ranges(events.len(), threads.max(1));
-    let buffers: Vec<Vec<(PlanKey, Footprint)>> =
-        pool::run_indexed(threads.max(1), ranges.len(), |c| {
-            ranges[c]
-                .clone()
-                .map(|i| {
-                    let e = &events[i];
-                    (
-                        PlanKey {
-                            quantum: i as u64,
-                            node: e.proc,
-                            seq: 0,
-                        },
-                        footprint_of(cfg, map, e.proc, &e.op),
-                    )
-                })
-                .collect()
-        });
-    merge_plans(buffers).into_iter().map(|(_, f)| f).collect()
-}
-
-/// One frame of the sweep: the half-open event range `[start, end)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Frame {
-    pub start: usize,
-    pub end: usize,
-}
-
-/// Stage 3a: group planned footprints into maximal frames — at most one
-/// operation per processor, pairwise-disjoint shards and homes. With
-/// `serial_only` (armed faults) every operation gets its own frame.
-pub fn build_frames(footprints: &[Footprint], serial_only: bool) -> Vec<Frame> {
-    let mut frames = Vec::new();
-    let mut start = 0;
-    while start < footprints.len() {
-        let mut end = start;
-        let mut procs: Vec<u16> = Vec::new();
-        let mut shards: Vec<u32> = Vec::new();
-        let mut homes: Vec<u16> = Vec::new();
-        while end < footprints.len() {
-            let f = &footprints[end];
-            let fits = !serial_only || end == start;
-            let fits = fits
-                && !procs.contains(&f.proc)
-                && f.shard.is_none_or(|s| !shards.contains(&s))
-                && f.home.is_none_or(|h| !homes.contains(&h));
-            if !fits && end > start {
-                break;
-            }
-            procs.push(f.proc);
-            if let Some(s) = f.shard {
-                shards.push(s);
-            }
-            if let Some(h) = f.home {
-                homes.push(h);
-            }
-            end += 1;
-            if serial_only {
-                break;
-            }
-        }
-        frames.push(Frame { start, end });
-        start = end;
-    }
-    frames
-}
-
-/// The whole sweep, returning everything the serial `replay_inner` can.
-fn replay_parallel_inner(
-    cfg: MachineConfig,
-    trace: &Trace,
-    init: &[(Addr, u64)],
-    mode: Option<InvariantMode>,
-    capture_events: bool,
-    threads: usize,
-) -> (RunStats, InvariantReport, Option<crate::events::EventLog>) {
-    // Shard count: enough to keep footprints from aliasing at small node
-    // counts, independent of the thread count so frame boundaries (and
-    // thus any frame-derived diagnostics) never vary with parallelism.
-    let map = ShardMap::new(64, cfg.block_bytes());
-    let plan = plan_footprints(&cfg, trace, threads, &map);
-    let frames = build_frames(&plan, cfg.faults.enabled());
-    debug_assert_eq!(
-        frames.last().map(|f| f.end).unwrap_or(0),
-        trace.len(),
-        "frames must cover the trace exactly"
-    );
-    let mut st = ReplayState::new(cfg, trace, init, mode, capture_events);
-    let events = trace.events();
-    for frame in &frames {
-        // Commit in capture order within the frame (and frames are
-        // contiguous), so the machine sees the serial path's exact
-        // operation sequence.
-        for e in &events[frame.start..frame.end] {
-            st.apply(e);
-        }
-    }
-    st.finish()
-}
-
-/// [`crate::trace::replay`] with an explicit worker count.
+/// [`crate::trace::replay`] under its old name. The thread count is
+/// ignored: every replay runs serially.
 pub fn replay_with_threads(
     cfg: MachineConfig,
     trace: &Trace,
     init: &[(Addr, u64)],
-    threads: usize,
+    _threads: usize,
 ) -> RunStats {
-    replay_parallel_inner(cfg, trace, init, None, false, threads).0
-}
-
-/// [`crate::trace::replay_events`] with an explicit worker count.
-pub fn replay_events_with_threads(
-    cfg: MachineConfig,
-    trace: &Trace,
-    init: &[(Addr, u64)],
-    threads: usize,
-) -> (RunStats, crate::events::EventLog) {
-    let (stats, _, log) = replay_parallel_inner(cfg, trace, init, None, true, threads);
-    // ccsim-lint: allow(unwrap): capture was requested, so the log exists
-    (stats, log.expect("event capture was enabled"))
-}
-
-/// [`replay_with_threads`] returning the invariant report as well — the
-/// parallel twin of `replay_checked`.
-pub fn replay_checked_with_threads(
-    cfg: MachineConfig,
-    trace: &Trace,
-    init: &[(Addr, u64)],
-    mode: InvariantMode,
-    threads: usize,
-) -> (RunStats, InvariantReport) {
-    let (stats, report, _) = replay_parallel_inner(cfg, trace, init, Some(mode), false, threads);
-    (stats, report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ccsim_types::ProtocolKind;
-
-    #[test]
-    fn thread_setting_parses_defensively() {
-        assert_eq!(parse_sim_threads(None), 1);
-        assert_eq!(parse_sim_threads(Some("")), 1);
-        assert_eq!(parse_sim_threads(Some("0")), 1);
-        assert_eq!(parse_sim_threads(Some("banana")), 1);
-        assert_eq!(parse_sim_threads(Some("-3")), 1);
-        assert_eq!(parse_sim_threads(Some("4")), 4);
-        assert_eq!(parse_sim_threads(Some(" 8 ")), 8);
-    }
-
-    #[test]
-    fn planning_is_thread_count_invariant() {
-        let cfg = ccsim_types::MachineConfig::splash_baseline(ProtocolKind::Ls);
-        let map = ShardMap::new(64, cfg.block_bytes());
-        let events: Vec<crate::trace::TraceEvent> = (0..97)
-            .map(|i| crate::trace::TraceEvent {
-                proc: (i % 4) as u16,
-                op: match i % 3 {
-                    0 => TraceOp::Load(Addr(i * 8)),
-                    1 => TraceOp::Store(Addr(i * 16), i),
-                    _ => TraceOp::Busy(3),
-                },
-            })
-            .collect();
-        let trace = Trace::from_events(4, events).unwrap();
-        let serial = plan_footprints(&cfg, &trace, 1, &map);
-        assert_eq!(serial.len(), trace.len());
-        for threads in [2, 3, 8] {
-            assert_eq!(plan_footprints(&cfg, &trace, threads, &map), serial);
-        }
-    }
-
-    #[test]
-    fn frames_partition_the_trace_and_respect_disjointness() {
-        let mk = |proc: u16, shard: u32, home: u16| Footprint {
-            proc,
-            shard: Some(shard),
-            home: Some(home),
-        };
-        // Two ops on the same shard cannot share a frame; same proc
-        // cannot either; unfootprinted ops only need proc-disjointness.
-        let plan = vec![
-            mk(0, 1, 0),
-            mk(1, 2, 1), // joins frame 0 (disjoint everything)
-            mk(2, 1, 2), // shard 1 collides -> new frame
-            mk(2, 3, 3), // proc 2 collides -> new frame
-            Footprint {
-                proc: 3,
-                shard: None,
-                home: None,
-            }, // busy op joins
-        ];
-        let frames = build_frames(&plan, false);
-        assert_eq!(
-            frames,
-            vec![
-                Frame { start: 0, end: 2 },
-                Frame { start: 2, end: 3 },
-                Frame { start: 3, end: 5 },
-            ]
-        );
-        // Serial-only (armed faults): one op per frame.
-        let serial = build_frames(&plan, true);
-        assert_eq!(serial.len(), plan.len());
-        assert!(serial.iter().all(|f| f.end - f.start == 1));
-    }
+    crate::trace::replay(cfg, trace, init)
 }

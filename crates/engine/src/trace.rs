@@ -272,16 +272,7 @@ impl Trace {
 /// zero; seed values with `init` pairs if the captured run used `init`.
 /// Invariant checking follows `CCSIM_INVARIANTS` (the machine default); use
 /// [`replay_checked`] to force a mode and read back the report.
-///
-/// Honours `CCSIM_SIM_THREADS`: at 2 or more, footprint planning fans out
-/// over the sharded sweep in [`crate::parallel`]. Results are bit-identical
-/// to the single-threaded path by construction (commits stay in capture
-/// order), which the parallel-determinism suite pins.
 pub fn replay(cfg: MachineConfig, trace: &Trace, init: &[(Addr, u64)]) -> RunStats {
-    let threads = crate::parallel::sim_threads_from_env();
-    if threads > 1 {
-        return crate::parallel::replay_with_threads(cfg, trace, init, threads);
-    }
     replay_inner(cfg, trace, init, None, false).0
 }
 
@@ -302,16 +293,11 @@ pub fn replay_checked(
 
 /// Replay while capturing the coherence event log (see [`crate::events`])
 /// for SC-conformance analysis — the trace-file path of `ccsim race`.
-/// Honours `CCSIM_SIM_THREADS` like [`replay`].
 pub fn replay_events(
     cfg: MachineConfig,
     trace: &Trace,
     init: &[(Addr, u64)],
 ) -> (RunStats, crate::events::EventLog) {
-    let threads = crate::parallel::sim_threads_from_env();
-    if threads > 1 {
-        return crate::parallel::replay_events_with_threads(cfg, trace, init, threads);
-    }
     let (stats, _, log) = replay_inner(cfg, trace, init, None, true);
     // ccsim-lint: allow(unwrap): capture was requested, so the log exists
     (stats, log.expect("event capture was enabled"))
@@ -319,10 +305,8 @@ pub fn replay_events(
 
 /// The serial commit engine behind every replay flavour: a fresh machine
 /// plus the per-processor clocks, time-attribution buckets, and component
-/// state, advanced one captured event at a time. The parallel sweep in
-/// [`crate::parallel`] drives this *same* state frame by frame, in capture
-/// order — which is why its results are bit-identical to serial replay.
-pub(crate) struct ReplayState {
+/// state, advanced one captured event at a time in capture order.
+struct ReplayState {
     machine: Machine,
     cfg: MachineConfig,
     clocks: Vec<u64>,
@@ -331,7 +315,7 @@ pub(crate) struct ReplayState {
 }
 
 impl ReplayState {
-    pub(crate) fn new(
+    fn new(
         cfg: MachineConfig,
         trace: &Trace,
         init: &[(Addr, u64)],
@@ -366,7 +350,7 @@ impl ReplayState {
 
     /// Commit one captured event.
     // ccsim-lint: allow(panic-path): replay ops index per-proc tables sized from the trace header at load time
-    pub(crate) fn apply(&mut self, e: &TraceEvent) {
+    fn apply(&mut self, e: &TraceEvent) {
         let p = e.proc as usize;
         let id = NodeId(e.proc);
         let t0 = self.clocks[p];
@@ -394,7 +378,7 @@ impl ReplayState {
         }
     }
 
-    pub(crate) fn finish(mut self) -> (RunStats, InvariantReport, Option<crate::events::EventLog>) {
+    fn finish(mut self) -> (RunStats, InvariantReport, Option<crate::events::EventLog>) {
         let report = self.machine.invariant_report().clone();
         let log = self.machine.take_event_log();
         let stats = RunStats {

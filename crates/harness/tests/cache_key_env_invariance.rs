@@ -1,21 +1,19 @@
 //! Cache keys are a pure function of (config, spec): no environment
-//! variable — in particular `CCSIM_SIM_THREADS` — may leak into them, or a
-//! parallel replay could serve different bytes than a serial one from the
-//! same cache entry. The parallel-determinism guarantee extends to the
-//! cache layer only because of this invariance.
+//! variable — in particular the worker counts `CCSIM_JOBS` (the `JobSet`
+//! pool) and `CCSIM_CHAOS_THREADS` (the chaos sweep) — may leak into them,
+//! or a batch run at one width could miss, or be served different bytes
+//! than, the entry another width wrote.
 
 use ccsim_harness::run_key;
 use ccsim_types::{MachineConfig, ProtocolKind};
 use ccsim_workloads::{mp3d::Mp3dParams, Spec};
 
 #[test]
-fn sim_thread_setting_does_not_change_cache_keys() {
+fn thread_count_settings_do_not_change_cache_keys() {
     let cfg = MachineConfig::splash_baseline(ProtocolKind::Ls);
     let spec = Spec::Mp3d(Mp3dParams::quick());
     let before = run_key(&cfg, &spec);
-    // CCSIM_SERVE_THREADS is pinned alongside the engine's variable so a
-    // future serve-side knob can never silently join the key either.
-    for var in ["CCSIM_SIM_THREADS", "CCSIM_SERVE_THREADS"] {
+    for var in ["CCSIM_JOBS", "CCSIM_CHAOS_THREADS"] {
         for setting in ["1", "4", "8", "banana"] {
             std::env::set_var(var, setting);
             assert_eq!(

@@ -1,7 +1,7 @@
 //! The chaos sweep's worker count is an execution knob, not an input: it
 //! must affect neither the run-cache key (the chaos gate shares cached
 //! fault-free runs with every other experiment) nor any swept result.
-//! Same contract as `CCSIM_SIM_THREADS` in `cache_key_env_invariance`.
+//! `cache_key_env_invariance` pins the key half for `CCSIM_JOBS` as well.
 
 use ccsim_harness::chaos::{sweep, ChaosConfig, CHAOS_THREADS_ENV};
 use ccsim_harness::run_key;

@@ -42,6 +42,28 @@ fn quick_workloads_are_conformant_under_all_protocols() {
 }
 
 #[test]
+fn replayed_logs_are_conformant_under_all_protocols() {
+    for kind in ProtocolKind::ALL {
+        for spec in [
+            Spec::Mp3d(mp3d::Mp3dParams::quick()),
+            Spec::Cholesky(cholesky::CholeskyParams::quick()),
+        ] {
+            let cfg = MachineConfig::splash_baseline(kind);
+            let (_, trace) = capture_spec(cfg, &spec);
+            let (_, log) = replay_events(cfg, &trace, &[]);
+            let report = check(&cfg.protocol, &log);
+            assert!(
+                report.is_clean(),
+                "{} under {kind:?} via replay is not conformant:\n{}",
+                spec.name(),
+                report.render(&log)
+            );
+            assert!(report.sc_fingerprint.is_some());
+        }
+    }
+}
+
+#[test]
 fn faulty_transport_runs_are_sc_conformant_with_fault_free_fingerprints() {
     // Replaying a captured trace pins the access interleaving, so a lossy,
     // duplicating, reordering interconnect may only perturb latencies — the

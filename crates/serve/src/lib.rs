@@ -28,7 +28,7 @@
 //!
 //! Everything is bit-deterministic in the run seed: same config ⇒ same
 //! arrival sequence, same ward firing point, same histograms, on either
-//! engine backend and any `CCSIM_SIM_THREADS` width.
+//! engine backend.
 
 pub mod arrivals;
 pub mod config;

@@ -11,8 +11,7 @@
 //! exactly one processor at a time in a deterministic order — so lock
 //! acquisitions are uncontended and globally ordered, histogram merges are
 //! bucket-wise sums (order-independent anyway), and ward firing lands on
-//! the identical completion in every rerun, on both engine backends and
-//! under any `CCSIM_SIM_THREADS` sweep width.
+//! the identical completion in every rerun and on both engine backends.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -235,18 +234,17 @@ pub fn serve_run(machine: MachineConfig, cfg: &ServeConfig) -> ServeReport {
     }
 }
 
-/// Run the protocol comparison, `workers`-wide (1 = serial). Results are
-/// in `protocols` order regardless of worker count — the pool returns in
-/// index order and each run is independently deterministic.
+/// Run the protocol comparison: one serve run per protocol, in
+/// `protocols` order.
 pub fn serve_sweep(
     base: MachineConfig,
     cfg: &ServeConfig,
     protocols: &[ProtocolKind],
-    workers: usize,
 ) -> Vec<ServeReport> {
-    ccsim_util::pool::run_indexed(workers, protocols.len(), |i| {
-        serve_run(base.with_protocol(protocols[i]), cfg)
-    })
+    protocols
+        .iter()
+        .map(|&kind| serve_run(base.with_protocol(kind), cfg))
+        .collect()
 }
 
 /// Content key of a serve run: a pure function of `(machine, serve)`
@@ -310,22 +308,6 @@ mod tests {
         let r = serve_run(MachineConfig::oltp_scaled(ProtocolKind::Ls), &cfg);
         assert_eq!(r.stop, StopReason::MaxCycles);
         assert!(r.cycles >= 300_000);
-    }
-
-    #[test]
-    fn sweep_order_is_protocol_order_for_any_worker_count() {
-        let cfg = tiny();
-        let base = MachineConfig::oltp_scaled(ProtocolKind::Baseline);
-        let serial = serve_sweep(base, &cfg, &ProtocolKind::ALL, 1);
-        let parallel = serve_sweep(base, &cfg, &ProtocolKind::ALL, 4);
-        assert_eq!(serial.len(), 3);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.protocol, p.protocol);
-            assert_eq!(s.stop, p.stop);
-            assert_eq!(s.cycles, p.cycles);
-            assert_eq!(s.completed, p.completed);
-            assert_eq!(s.class_hists, p.class_hists);
-        }
     }
 
     #[test]

@@ -79,7 +79,7 @@ mod tests {
     fn summary_matches_reports_and_round_trips() {
         let cfg = tiny();
         let base = MachineConfig::oltp_scaled(ProtocolKind::Baseline);
-        let reports = serve_sweep(base, &cfg, &ProtocolKind::ALL, 1);
+        let reports = serve_sweep(base, &cfg, &ProtocolKind::ALL);
         let s = summarize(&cfg, &reports);
         assert_eq!(s.schema, SERVE_SCHEMA);
         assert_eq!(s.nodes, base.nodes);
@@ -105,7 +105,7 @@ mod tests {
         // mix, LS eliminates ownership acquisitions the Baseline pays for.
         let cfg = tiny();
         let base = MachineConfig::oltp_scaled(ProtocolKind::Baseline);
-        let s = summarize(&cfg, &serve_sweep(base, &cfg, &ProtocolKind::ALL, 1));
+        let s = summarize(&cfg, &serve_sweep(base, &cfg, &ProtocolKind::ALL));
         let find = |p: &str| s.rows.iter().find(|r| r.protocol == p).unwrap().clone();
         let baseline = find("Baseline");
         let ls = find("LS");

@@ -1,8 +1,9 @@
 //! The serve determinism contract, pinned at the artifact level: the
 //! canonical `ServeSummary` JSON is a pure function of `(machine, serve
-//! config)`. Reruns, sweep worker counts, and thread-count environment
-//! variables must all produce byte-identical documents — anything less
-//! would make the CI serve gate and the bench trajectory flaky.
+//! config)`. Reruns, and the sweep against independent per-protocol runs,
+//! must produce byte-identical documents, and no thread-count environment
+//! variable may enter the serve key — anything less would make the CI
+//! serve gate and the bench trajectory flaky.
 
 use ccsim_serve::{serve_key, serve_run, serve_sweep, summarize, ArrivalGen, ServeConfig};
 use ccsim_types::{MachineConfig, ProtocolKind};
@@ -23,9 +24,9 @@ fn machine() -> MachineConfig {
     MachineConfig::oltp_scaled(ProtocolKind::Baseline)
 }
 
-fn summary_bytes(workers: usize) -> String {
+fn summary_bytes() -> String {
     let cfg = cfg();
-    let reports = serve_sweep(machine(), &cfg, &ProtocolKind::ALL, workers);
+    let reports = serve_sweep(machine(), &cfg, &ProtocolKind::ALL);
     summarize(&cfg, &reports).to_json()
 }
 
@@ -49,14 +50,17 @@ fn arrival_sequences_are_byte_identical_across_reruns() {
 
 #[test]
 fn rerun_summary_json_is_byte_identical() {
-    assert_eq!(summary_bytes(1), summary_bytes(1));
+    assert_eq!(summary_bytes(), summary_bytes());
 }
 
 #[test]
-fn sweep_worker_count_never_changes_summary_bytes() {
-    let serial = summary_bytes(1);
-    assert_eq!(serial, summary_bytes(2), "2 workers diverged from serial");
-    assert_eq!(serial, summary_bytes(4), "4 workers diverged from serial");
+fn sweep_summary_bytes_equal_independent_per_protocol_reruns() {
+    let cfg = cfg();
+    let reruns: Vec<_> = ProtocolKind::ALL
+        .iter()
+        .map(|&kind| serve_run(machine().with_protocol(kind), &cfg))
+        .collect();
+    assert_eq!(summary_bytes(), summarize(&cfg, &reruns).to_json());
 }
 
 #[test]
@@ -75,12 +79,11 @@ fn ward_stop_lands_on_the_identical_cycle_across_reruns() {
 fn thread_count_env_vars_cannot_enter_the_serve_key() {
     // Mirrors the harness cache-key invariance test: the serve content key
     // hashes canonical config JSON only, so no thread-count knob can leak
-    // in. Both the engine's own variable and any future serve-specific one
-    // are pinned here.
+    // in. Both worker-count variables the harness reads are pinned here.
     let cfg = cfg();
     let m = machine();
     let before = serve_key(&m, &cfg);
-    for var in ["CCSIM_SIM_THREADS", "CCSIM_SERVE_THREADS"] {
+    for var in ["CCSIM_JOBS", "CCSIM_CHAOS_THREADS"] {
         for setting in ["1", "4", "8", "banana"] {
             std::env::set_var(var, setting);
             assert_eq!(

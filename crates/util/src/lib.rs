@@ -15,8 +15,7 @@
 //! * [`check`] — a deterministic mini property-test runner replacing
 //!   `proptest` for the workspace's randomized invariant tests;
 //! * [`pool`] — the bounded scoped worker pool (deterministic result
-//!   ordering) shared by the harness `JobSet` and the engine's
-//!   planning-parallel replay sweep, replacing `rayon`;
+//!   ordering) behind the harness `JobSet`, replacing `rayon`;
 //! * [`slab`] — lazily-paged dense arrays for per-block hot-path state;
 //! * [`latency`] — integer-only log-bucketed latency histograms with a
 //!   deterministic merge, the serve-scale measurement plane (replacing

@@ -1,11 +1,10 @@
 //! A bounded, scoped worker pool with deterministic result ordering.
 //!
-//! One primitive serves every fan-out in the workspace — the harness's
-//! `JobSet` batches and the engine's planning-parallel replay sweep: run
-//! `n` independent index-addressed tasks on at most `workers` OS threads
-//! and return the results **in index order**, no matter which worker
-//! finished which task first. Determinism therefore never depends on the
-//! worker count; only wall-clock does.
+//! One primitive serves the harness's `JobSet` batches: run `n`
+//! independent index-addressed tasks on at most `workers` OS threads and
+//! return the results **in index order**, no matter which worker finished
+//! which task first. Determinism therefore never depends on the worker
+//! count; only wall-clock does.
 //!
 //! Work distribution is a single atomic counter (work stealing by index):
 //! whichever worker is free claims the next index. With `workers <= 1` (or
@@ -57,28 +56,6 @@ where
         .collect()
 }
 
-/// Split `n` items into at most `chunks` contiguous ranges covering
-/// `0..n` exactly once, sized within one of each other (the first
-/// `n % chunks` ranges get the extra item). Used to hand a slice of work
-/// to each pool worker while keeping concatenation order canonical.
-pub fn chunk_ranges(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let chunks = chunks.clamp(1, n);
-    let base = n / chunks;
-    let extra = n % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for c in 0..chunks {
-        let len = base + usize::from(c < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,26 +92,5 @@ mod tests {
             })
         });
         assert!(hit.is_err());
-    }
-
-    #[test]
-    fn chunks_cover_exactly_once() {
-        for n in [0usize, 1, 2, 7, 64, 65] {
-            for chunks in [1usize, 2, 3, 8, 200] {
-                let ranges = chunk_ranges(n, chunks);
-                let mut covered = 0;
-                for (k, r) in ranges.iter().enumerate() {
-                    assert_eq!(r.start, covered, "n={n} chunks={chunks} range {k}");
-                    covered = r.end;
-                }
-                assert_eq!(covered, n, "n={n} chunks={chunks}");
-                if n > 0 {
-                    assert!(ranges.len() <= chunks);
-                    let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                    let (mn, mx) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-                    assert!(mx - mn <= 1, "balanced: {lens:?}");
-                }
-            }
-        }
     }
 }

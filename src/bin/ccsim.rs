@@ -903,8 +903,7 @@ fn main() {
                 })
             });
             let base = config_of(&o, "oltp", kinds[0]);
-            let workers = ccsim::engine::sim_threads_from_env();
-            let reports = serve_sweep(base, &cfg, &kinds, workers);
+            let reports = serve_sweep(base, &cfg, &kinds);
             let s = ccsim::serve::summarize(&cfg, &reports);
             if o.json {
                 println!("{}", s.to_json());
