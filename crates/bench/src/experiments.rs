@@ -98,7 +98,7 @@ pub fn export_summaries(tag: &str, runs: &[RunStats]) {
     }
     let summaries = Json::Arr(
         runs.iter()
-            .map(|r| ToJson::to_json(&RunSummary::from_stats(r)))
+            .map(|r| RunSummary::from_stats(r).to_json())
             .collect(),
     );
     if let Ok(mut f) = std::fs::File::create(dir.join(format!("{tag}.json"))) {

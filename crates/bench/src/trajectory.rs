@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use ccsim_util::{FromJson, Json, ToJson};
+use ccsim_util::{json_record, FromJson, Json, ToJson};
 
 /// Format tag pinned by the golden-schema test; bump on layout changes.
 pub const BENCH_SCHEMA: &str = "ccsim-bench-trajectory-v1";
@@ -41,6 +41,14 @@ pub struct BenchMetric {
     /// units (1500 = 1.5×). Zero when the metric has no reference.
     pub speedup_per_mille: u64,
 }
+
+json_record!(BenchMetric {
+    name,
+    wall_us,
+    accesses,
+    accesses_per_sec,
+    speedup_per_mille
+});
 
 impl BenchMetric {
     /// Assemble a metric from a timed section; throughput and the speedup
@@ -80,32 +88,7 @@ impl BenchSummary {
     }
 
     pub fn from_canonical_json(s: &str) -> Result<BenchSummary, String> {
-        BenchSummary::from_json(&Json::parse(s)?)
-    }
-}
-
-impl ToJson for BenchMetric {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", self.name.to_json()),
-            ("wall_us", self.wall_us.to_json()),
-            ("accesses", self.accesses.to_json()),
-            ("accesses_per_sec", self.accesses_per_sec.to_json()),
-            ("speedup_per_mille", self.speedup_per_mille.to_json()),
-        ])
-    }
-}
-
-impl FromJson for BenchMetric {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        let field = |k: &str| j.get(k).ok_or_else(|| format!("missing field {k}"));
-        Ok(BenchMetric {
-            name: field("name")?.as_str()?.to_string(),
-            wall_us: field("wall_us")?.as_u64()?,
-            accesses: field("accesses")?.as_u64()?,
-            accesses_per_sec: field("accesses_per_sec")?.as_u64()?,
-            speedup_per_mille: field("speedup_per_mille")?.as_u64()?,
-        })
+        BenchSummary::from_text(s)
     }
 }
 
@@ -115,29 +98,23 @@ impl ToJson for BenchSummary {
             ("schema", BENCH_SCHEMA.to_json()),
             ("bench", self.bench.to_json()),
             ("scale", self.scale.to_json()),
-            (
-                "metrics",
-                Json::Arr(self.metrics.iter().map(|m| m.to_json()).collect()),
-            ),
+            ("metrics", self.metrics.to_json()),
         ])
     }
 }
 
 impl FromJson for BenchSummary {
+    /// Hand-written rather than a `json_record!`: the schema tag is a
+    /// constant, checked on decode.
     fn from_json(j: &Json) -> Result<Self, String> {
-        let field = |k: &str| j.get(k).ok_or_else(|| format!("missing field {k}"));
-        let schema = field("schema")?.as_str()?;
+        let schema: String = j.field("schema")?;
         if schema != BENCH_SCHEMA {
             return Err(format!("unknown bench schema {schema:?}"));
         }
         Ok(BenchSummary {
-            bench: field("bench")?.as_str()?.to_string(),
-            scale: field("scale")?.as_str()?.to_string(),
-            metrics: field("metrics")?
-                .as_arr()?
-                .iter()
-                .map(BenchMetric::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
+            bench: j.field("bench")?,
+            scale: j.field("scale")?,
+            metrics: j.field("metrics")?,
         })
     }
 }

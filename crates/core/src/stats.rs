@@ -1,7 +1,7 @@
 //! Protocol-level event counters kept at the directory.
 
 use crate::outcome::ReadMissClass;
-use ccsim_util::{FromJson, Json, ToJson};
+use ccsim_util::json_record;
 
 /// Logical event counters kept at the directory (message/byte counts live in
 /// the network model; these are protocol-level events, counted even when the
@@ -36,6 +36,21 @@ pub struct DirStats {
     /// DSI tear-off grants (uncached read copies).
     pub tear_grants: u64,
 }
+
+json_record!(DirStats {
+    global_reads,
+    read_class,
+    upgrades,
+    write_misses,
+    invalidations_requested,
+    writes_to_shared,
+    invals_on_shared_writes,
+    exclusive_grants,
+    tag_events,
+    detag_events,
+    notls_events,
+    tear_grants
+});
 
 impl DirStats {
     // ccsim-lint: allow(panic-path): read-miss class maps to one of four counter slots fixed at construction
@@ -81,50 +96,6 @@ impl DirStats {
         self.detag_events += o.detag_events;
         self.notls_events += o.notls_events;
         self.tear_grants += o.tear_grants;
-    }
-}
-
-impl ToJson for DirStats {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("global_reads", self.global_reads.to_json()),
-            ("read_class", self.read_class.to_json()),
-            ("upgrades", self.upgrades.to_json()),
-            ("write_misses", self.write_misses.to_json()),
-            (
-                "invalidations_requested",
-                self.invalidations_requested.to_json(),
-            ),
-            ("writes_to_shared", self.writes_to_shared.to_json()),
-            (
-                "invals_on_shared_writes",
-                self.invals_on_shared_writes.to_json(),
-            ),
-            ("exclusive_grants", self.exclusive_grants.to_json()),
-            ("tag_events", self.tag_events.to_json()),
-            ("detag_events", self.detag_events.to_json()),
-            ("notls_events", self.notls_events.to_json()),
-            ("tear_grants", self.tear_grants.to_json()),
-        ])
-    }
-}
-
-impl FromJson for DirStats {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(DirStats {
-            global_reads: j.field("global_reads")?,
-            read_class: j.field("read_class")?,
-            upgrades: j.field("upgrades")?,
-            write_misses: j.field("write_misses")?,
-            invalidations_requested: j.field("invalidations_requested")?,
-            writes_to_shared: j.field("writes_to_shared")?,
-            invals_on_shared_writes: j.field("invals_on_shared_writes")?,
-            exclusive_grants: j.field("exclusive_grants")?,
-            tag_events: j.field("tag_events")?,
-            detag_events: j.field("detag_events")?,
-            notls_events: j.field("notls_events")?,
-            tear_grants: j.field("tear_grants")?,
-        })
     }
 }
 

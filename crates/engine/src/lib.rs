@@ -39,7 +39,6 @@
 pub mod events;
 pub mod fiber;
 pub mod invariants;
-pub mod json;
 pub mod machine;
 pub mod oracle;
 pub mod parallel;

@@ -13,7 +13,7 @@ use ccsim_core::{DirTable, GrantKind, ReadStep, WriteStep};
 use ccsim_mem::{pages, Store};
 use ccsim_network::{Delivery, Network};
 use ccsim_types::{Addr, BlockAddr, Consistency, MachineConfig, MsgKind, NodeId};
-use ccsim_util::Slab;
+use ccsim_util::{json_record, Slab};
 
 use crate::events::{CoherenceEvent, EventKind, EventLog, WriteHow};
 use crate::invariants::{copy_state, line_state, InvariantChecker, InvariantMode, InvariantReport};
@@ -49,6 +49,16 @@ pub struct MachineCounters {
     /// timeout-and-retransmit driver (drops and lost ACKs).
     pub retransmits: u64,
 }
+
+json_record!(MachineCounters {
+    l1_hits,
+    l2_hits,
+    silent_stores,
+    dirty_hits,
+    retries,
+    nacks,
+    retransmits
+});
 
 /// Why a processor asks the home for ownership.
 #[derive(Clone, Copy, Debug)]

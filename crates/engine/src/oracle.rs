@@ -6,7 +6,7 @@
 //! Tables 2 and 3 plus the false-sharing classification of Table 4.
 
 use ccsim_types::{BlockAddr, NodeId};
-use ccsim_util::Slab;
+use ccsim_util::{json_record, Slab};
 
 /// Which part of the workload issued an access — the paper's Table 2 splits
 /// the OLTP workload into MySQL (application), system libraries, and the
@@ -57,6 +57,15 @@ pub struct ComponentCounters {
     pub eliminated_migratory: u64,
 }
 
+json_record!(ComponentCounters {
+    global_writes,
+    ls_writes,
+    migratory_writes,
+    eliminated,
+    eliminated_ls,
+    eliminated_migratory
+});
+
 impl ComponentCounters {
     fn merge(&mut self, o: &ComponentCounters) {
         self.global_writes += o.global_writes;
@@ -75,6 +84,8 @@ pub struct OracleStats {
     pub lib: ComponentCounters,
     pub os: ComponentCounters,
 }
+
+json_record!(OracleStats { app, lib, os });
 
 impl OracleStats {
     pub fn component(&self, c: Component) -> &ComponentCounters {
@@ -240,6 +251,12 @@ pub struct FalseSharingStats {
     /// (Dubois et al.'s false-sharing misses).
     pub false_sharing: u64,
 }
+
+json_record!(FalseSharingStats {
+    cold_or_capacity,
+    true_sharing,
+    false_sharing
+});
 
 impl FalseSharingStats {
     pub fn total_misses(&self) -> u64 {

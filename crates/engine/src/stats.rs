@@ -3,6 +3,7 @@
 use ccsim_core::DirStats;
 use ccsim_network::Traffic;
 use ccsim_types::{MachineConfig, ProtocolKind};
+use ccsim_util::json_record;
 
 use crate::machine::MachineCounters;
 use crate::oracle::{FalseSharingStats, OracleStats};
@@ -17,6 +18,12 @@ pub struct ProcTimes {
     /// Cycles stalled on ownership acquisitions (SC write stall).
     pub write_stall: u64,
 }
+
+json_record!(ProcTimes {
+    busy,
+    read_stall,
+    write_stall
+});
 
 impl ProcTimes {
     pub fn total(&self) -> u64 {
@@ -44,6 +51,18 @@ pub struct RunStats {
     pub oracle: OracleStats,
     pub false_sharing: FalseSharingStats,
 }
+
+json_record!(RunStats {
+    protocol,
+    config,
+    exec_cycles,
+    per_proc,
+    traffic,
+    dir,
+    machine,
+    oracle,
+    false_sharing
+});
 
 impl RunStats {
     /// Summed execution-time breakdown over all processors (the figures
@@ -112,5 +131,30 @@ mod tests {
         b.add(&a);
         assert_eq!(b.total(), 36);
         assert_eq!(b.busy, 20);
+    }
+
+    /// The run cache stores this encoding: decoding it reconstructs an
+    /// equal `RunStats`, and re-encoding reproduces the bytes exactly.
+    #[test]
+    fn run_stats_round_trip_is_field_identical() {
+        use crate::run::SimBuilder;
+        use ccsim_util::{FromJson, ToJson};
+        for kind in ProtocolKind::ALL {
+            let mut b = SimBuilder::new(MachineConfig::splash_baseline(kind));
+            let ctr = b.alloc().alloc_words(1);
+            for _ in 0..4 {
+                b.spawn(move |p| {
+                    for _ in 0..50 {
+                        p.fetch_add(ctr, 1);
+                        p.busy(11);
+                    }
+                });
+            }
+            let stats = b.run();
+            let text = stats.to_json().to_string();
+            let back = RunStats::from_text(&text).unwrap();
+            assert_eq!(back, stats, "{kind:?} round trip");
+            assert_eq!(back.to_json().to_string(), text, "{kind:?} bytes");
+        }
     }
 }

@@ -91,6 +91,45 @@ fn cache_recovers_from_every_corruption_mode() {
     }
 }
 
+/// A hostile entry nested 100,000 levels deep would overflow the stack of
+/// the recursive JSON parser and abort the whole process. The parser's
+/// depth cap turns it into an ordinary decode error: the entry is
+/// quarantined and the run recomputes, on a 2 MiB worker-sized stack.
+#[test]
+fn deeply_nested_cache_entry_is_quarantined() {
+    let cfg = MachineConfig::splash_baseline(ProtocolKind::Ad);
+    let spec = tiny_spec(20);
+    let key = cache::run_key(&cfg, &spec);
+    let expected = run_spec(cfg, &spec);
+    let dir = temp_dir("deep");
+    cache::run_cached_at(cfg, &spec, CacheMode::ReadWrite, &dir);
+    let path = entry_path(&dir, &key);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let depth = 100_000;
+    let hostile = format!(
+        "{{\"format\": \"ccsim-run-cache-v2\", \"stats\": {}{}}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    std::fs::write(&path, hostile).unwrap();
+
+    let worker_dir = dir.clone();
+    let recovered = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || cache::run_cached_at(cfg, &spec, CacheMode::ReadWrite, &worker_dir))
+        .unwrap()
+        .join()
+        .unwrap();
+    assert_eq!(recovered, expected);
+    assert!(quarantine_path(&dir, &key).exists());
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        text,
+        "entry healed"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Satellite: one panicking job in a parallel batch yields `Err` in that
 /// job's slot — with index, workload, protocol and panic message — while
 /// every other job completes, in submission order.

@@ -67,6 +67,7 @@ mod tests {
     use crate::config::ModelConfig;
     use crate::explore::explore;
     use ccsim_types::ProtocolKind;
+    use ccsim_util::{FromJson, ToJson};
 
     #[test]
     fn summaries_round_trip_and_mirror_the_exploration() {
@@ -75,7 +76,7 @@ mod tests {
         assert_eq!(s.protocol, "LS");
         assert_eq!(s.states, ex.metrics.states);
         assert_eq!(s.violation, "", "clean run exports an empty violation");
-        let back = ModelCheckSummary::parse(&s.to_json()).unwrap();
+        let back = ModelCheckSummary::from_text(&s.to_json().pretty()).unwrap();
         assert_eq!(back, s);
     }
 
@@ -88,7 +89,7 @@ mod tests {
         assert_eq!(s.violation, "");
         assert_eq!(s.refinement, "");
         assert_eq!(s.concretized_nodes, 0);
-        let back = VerifySummary::parse(&s.to_json()).unwrap();
+        let back = VerifySummary::from_text(&s.to_json().pretty()).unwrap();
         assert_eq!(back, s);
     }
 }

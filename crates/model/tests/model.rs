@@ -10,7 +10,7 @@ use ccsim_model::{
 };
 use ccsim_stats::ModelCheckSummary;
 use ccsim_types::{ProtocolKind, RuleMutation, TransportMutation};
-use ccsim_util::check;
+use ccsim_util::{check, FromJson, ToJson};
 
 // --- Clean exhaustive explorations (the main verification result) ------
 
@@ -208,7 +208,7 @@ fn exploration_is_deterministic_and_summarizable() {
 
     // The summary survives the canonical-JSON export path bit-exactly.
     let s = summarize(&a);
-    let back = ModelCheckSummary::parse(&s.to_json()).unwrap();
+    let back = ModelCheckSummary::from_text(&s.to_json().pretty()).unwrap();
     assert_eq!(back, s);
     assert_eq!(back.state_fingerprint, a.metrics.state_fingerprint);
 }

@@ -15,7 +15,7 @@
 //! read/write/other [`MsgClass`] categories.
 
 use ccsim_types::{FaultConfig, LatencyConfig, MsgClass, MsgKind, NodeId, Topology};
-use ccsim_util::{FromJson, Json, ToJson, Xoshiro256pp};
+use ccsim_util::{json_record, FromJson, Json, ToJson, Xoshiro256pp};
 
 /// Injection bandwidth of a network interface (bytes per cycle).
 pub const LINK_BYTES_PER_CYCLE: u64 = 8;
@@ -26,6 +26,8 @@ pub struct ClassCounters {
     pub messages: u64,
     pub bytes: u64,
 }
+
+json_record!(ClassCounters { messages, bytes });
 
 /// Network traffic statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -99,24 +101,6 @@ impl Traffic {
         for (m, o) in self.by_kind.iter_mut().zip(other.by_kind) {
             *m += o;
         }
-    }
-}
-
-impl ToJson for ClassCounters {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("messages", self.messages.to_json()),
-            ("bytes", self.bytes.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ClassCounters {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(ClassCounters {
-            messages: j.field("messages")?,
-            bytes: j.field("bytes")?,
-        })
     }
 }
 

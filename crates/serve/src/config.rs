@@ -8,7 +8,7 @@
 //! loudly with a `serve:`-prefixed error instead of seeding a nonsense
 //! traffic plan.
 
-use ccsim_util::{FromJson, Json, ToJson};
+use ccsim_util::{json_record, FromJson, Json, ToJson};
 
 /// Transaction classes of the serve mix, in mix-array order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,6 +63,14 @@ pub struct WardConfig {
     /// dropped at full admission queues (overload detected). 0 disables.
     pub diverge_dropped: u64,
 }
+
+json_record!(WardConfig {
+    check_every,
+    converge_per_mille,
+    converge_checks,
+    max_cycles,
+    diverge_dropped
+});
 
 /// The serve-scale traffic plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,6 +170,9 @@ impl ServeConfig {
         if self.rate_per_mcycle == 0 {
             return Err("rate_per_mcycle must be > 0".into());
         }
+        if let Some(m) = self.mix_per_mille.iter().find(|&&m| m > 1000) {
+            return Err(format!("mix entry {m} exceeds 1000 per-mille"));
+        }
         let mix_sum: u64 = self.mix_per_mille.iter().map(|&m| m as u64).sum();
         if mix_sum != 1000 {
             return Err(format!(
@@ -171,7 +182,10 @@ impl ServeConfig {
         if self.burst_x_per_mille < 1000 {
             return Err("burst_x_per_mille must be >= 1000".into());
         }
-        if (self.burst_on_cycles == 0) != (self.burst_on_cycles + self.burst_off_cycles == 0) {
+        let Some(burst_period) = self.burst_on_cycles.checked_add(self.burst_off_cycles) else {
+            return Err("burst_on_cycles + burst_off_cycles overflows u64".into());
+        };
+        if (self.burst_on_cycles == 0) != (burst_period == 0) {
             return Err(
                 "burst_on_cycles and burst_off_cycles must both be set or both zero".into(),
             );
@@ -195,48 +209,16 @@ impl ServeConfig {
     }
 }
 
-impl ToJson for WardConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("check_every", self.check_every.to_json()),
-            ("converge_per_mille", self.converge_per_mille.to_json()),
-            ("converge_checks", (self.converge_checks as u64).to_json()),
-            ("max_cycles", self.max_cycles.to_json()),
-            ("diverge_dropped", self.diverge_dropped.to_json()),
-        ])
-    }
-}
-
-impl FromJson for WardConfig {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(WardConfig {
-            check_every: j.field("check_every")?,
-            converge_per_mille: j.field("converge_per_mille")?,
-            converge_checks: j.req("converge_checks")?.as_u64()? as u32,
-            max_cycles: j.field("max_cycles")?,
-            diverge_dropped: j.field("diverge_dropped")?,
-        })
-    }
-}
-
 impl ToJson for ServeConfig {
     fn to_json(&self) -> Json {
         Json::obj(vec![
             ("clients", self.clients.to_json()),
-            ("skew_per_mille", (self.skew_per_mille as u64).to_json()),
+            ("skew_per_mille", self.skew_per_mille.to_json()),
             ("rate_per_mcycle", self.rate_per_mcycle.to_json()),
             ("burst_on_cycles", self.burst_on_cycles.to_json()),
             ("burst_off_cycles", self.burst_off_cycles.to_json()),
             ("burst_x_per_mille", self.burst_x_per_mille.to_json()),
-            (
-                "mix_per_mille",
-                Json::Arr(
-                    self.mix_per_mille
-                        .iter()
-                        .map(|&m| Json::U64(m as u64))
-                        .collect(),
-                ),
-            ),
+            ("mix_per_mille", self.mix_per_mille.to_json()),
             ("queue_cap", self.queue_cap.to_json()),
             ("branches", self.branches.to_json()),
             ("accounts", self.accounts.to_json()),
@@ -248,30 +230,17 @@ impl ToJson for ServeConfig {
 }
 
 impl FromJson for ServeConfig {
+    /// Hand-written rather than a `json_record!`: a decoded plan must also
+    /// pass [`ServeConfig::validate`].
     fn from_json(j: &Json) -> Result<Self, String> {
-        let mix_arr = j.req("mix_per_mille")?.as_arr()?;
-        if mix_arr.len() != 4 {
-            return Err(format!(
-                "serve: mix_per_mille must have 4 entries (got {})",
-                mix_arr.len()
-            ));
-        }
-        let mut mix_per_mille = [0u16; 4];
-        for (slot, v) in mix_per_mille.iter_mut().zip(mix_arr) {
-            let m = v.as_u64()?;
-            if m > 1000 {
-                return Err(format!("serve: mix entry {m} exceeds 1000 per-mille"));
-            }
-            *slot = m as u16;
-        }
         let cfg = ServeConfig {
             clients: j.field("clients")?,
-            skew_per_mille: j.req("skew_per_mille")?.as_u64()? as u32,
+            skew_per_mille: j.field("skew_per_mille")?,
             rate_per_mcycle: j.field("rate_per_mcycle")?,
             burst_on_cycles: j.field("burst_on_cycles")?,
             burst_off_cycles: j.field("burst_off_cycles")?,
             burst_x_per_mille: j.field("burst_x_per_mille")?,
-            mix_per_mille,
+            mix_per_mille: j.field("mix_per_mille")?,
             queue_cap: j.field("queue_cap")?,
             branches: j.field("branches")?,
             accounts: j.field("accounts")?,
@@ -341,6 +310,26 @@ mod tests {
         let big = text.replace("[450,300,150,100]", "[1450,300,150,100]");
         let err = ServeConfig::from_json(&Json::parse(&big).unwrap()).unwrap_err();
         assert!(err.contains("exceeds 1000"), "{err}");
+    }
+
+    #[test]
+    fn decode_rejects_out_of_range_u32_fields() {
+        let text = ServeConfig::quick().to_json().to_string();
+        // 2^32 + 1 must be rejected, not wrapped to a valid 1.
+        let skew = text.replace("\"skew_per_mille\": 900", "\"skew_per_mille\": 4294967297");
+        assert_ne!(skew, text);
+        let err = ServeConfig::from_text(&skew).unwrap_err();
+        assert_eq!(
+            err,
+            "field `skew_per_mille`: 4294967297 out of range for u32"
+        );
+        let checks = text.replace("\"converge_checks\": 3", "\"converge_checks\": 4294967297");
+        assert_ne!(checks, text);
+        let err = ServeConfig::from_text(&checks).unwrap_err();
+        assert_eq!(
+            err,
+            "field `ward`: field `converge_checks`: 4294967297 out of range for u32"
+        );
     }
 
     #[test]

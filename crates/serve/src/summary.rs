@@ -64,6 +64,7 @@ mod tests {
     use super::*;
     use crate::run::serve_sweep;
     use ccsim_types::{MachineConfig, ProtocolKind};
+    use ccsim_util::ToJson;
 
     fn tiny() -> ServeConfig {
         let mut cfg = ServeConfig::quick();
@@ -95,7 +96,7 @@ mod tests {
             }
         }
         // Canonical JSON round-trips through the stats export layer.
-        let back = ServeSummary::parse(&s.to_json()).unwrap();
+        let back = ServeSummary::parse(&s.to_json().pretty()).unwrap();
         assert_eq!(s, back);
     }
 

@@ -7,6 +7,7 @@
 
 use ccsim_serve::{serve_key, serve_run, serve_sweep, summarize, ArrivalGen, ServeConfig};
 use ccsim_types::{MachineConfig, ProtocolKind};
+use ccsim_util::ToJson;
 
 /// Small but non-trivial: hits the converged ward in a fraction of a
 /// second yet exercises every class and all three protocols.
@@ -27,7 +28,7 @@ fn machine() -> MachineConfig {
 fn summary_bytes() -> String {
     let cfg = cfg();
     let reports = serve_sweep(machine(), &cfg, &ProtocolKind::ALL);
-    summarize(&cfg, &reports).to_json()
+    summarize(&cfg, &reports).to_json().pretty()
 }
 
 #[test]
@@ -60,7 +61,7 @@ fn sweep_summary_bytes_equal_independent_per_protocol_reruns() {
         .iter()
         .map(|&kind| serve_run(machine().with_protocol(kind), &cfg))
         .collect();
-    assert_eq!(summary_bytes(), summarize(&cfg, &reruns).to_json());
+    assert_eq!(summary_bytes(), summarize(&cfg, &reruns).to_json().pretty());
 }
 
 #[test]

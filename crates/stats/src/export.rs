@@ -3,7 +3,7 @@
 
 use ccsim_engine::{Component, RunStats};
 use ccsim_types::MsgClass;
-use ccsim_util::{FromJson, Json, ToJson};
+use ccsim_util::{json_record, FromJson};
 
 /// Flat, serializable summary of one run.
 #[derive(Clone, Debug, PartialEq)]
@@ -39,6 +39,37 @@ pub struct RunSummary {
     pub migratory_coverage: f64,
     pub false_sharing_fraction: f64,
 }
+
+json_record!(RunSummary {
+    protocol,
+    nodes,
+    block_bytes,
+    exec_cycles,
+    busy,
+    read_stall,
+    write_stall,
+    traffic_read_bytes,
+    traffic_write_bytes,
+    traffic_other_bytes,
+    traffic_messages,
+    global_reads,
+    read_class,
+    upgrades,
+    write_misses,
+    invalidations,
+    invalidations_per_shared_write,
+    exclusive_grants,
+    silent_stores,
+    retries,
+    oracle_app,
+    oracle_lib,
+    oracle_os,
+    ls_fraction,
+    migratory_fraction,
+    ls_coverage,
+    migratory_coverage,
+    false_sharing_fraction
+});
 
 impl RunSummary {
     pub fn from_stats(r: &RunStats) -> Self {
@@ -77,92 +108,6 @@ impl RunSummary {
             false_sharing_fraction: r.false_sharing.false_fraction(),
         }
     }
-
-    /// Pretty-printed JSON document.
-    pub fn to_json(&self) -> String {
-        ToJson::to_json(self).pretty()
-    }
-
-    /// Parse a summary previously written by [`RunSummary::to_json`].
-    pub fn parse(text: &str) -> Result<Self, String> {
-        FromJson::from_json(&Json::parse(text)?)
-    }
-}
-
-impl ToJson for RunSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("protocol", self.protocol.to_json()),
-            ("nodes", self.nodes.to_json()),
-            ("block_bytes", self.block_bytes.to_json()),
-            ("exec_cycles", self.exec_cycles.to_json()),
-            ("busy", self.busy.to_json()),
-            ("read_stall", self.read_stall.to_json()),
-            ("write_stall", self.write_stall.to_json()),
-            ("traffic_read_bytes", self.traffic_read_bytes.to_json()),
-            ("traffic_write_bytes", self.traffic_write_bytes.to_json()),
-            ("traffic_other_bytes", self.traffic_other_bytes.to_json()),
-            ("traffic_messages", self.traffic_messages.to_json()),
-            ("global_reads", self.global_reads.to_json()),
-            ("read_class", self.read_class.to_json()),
-            ("upgrades", self.upgrades.to_json()),
-            ("write_misses", self.write_misses.to_json()),
-            ("invalidations", self.invalidations.to_json()),
-            (
-                "invalidations_per_shared_write",
-                self.invalidations_per_shared_write.to_json(),
-            ),
-            ("exclusive_grants", self.exclusive_grants.to_json()),
-            ("silent_stores", self.silent_stores.to_json()),
-            ("retries", self.retries.to_json()),
-            ("oracle_app", self.oracle_app.to_json()),
-            ("oracle_lib", self.oracle_lib.to_json()),
-            ("oracle_os", self.oracle_os.to_json()),
-            ("ls_fraction", self.ls_fraction.to_json()),
-            ("migratory_fraction", self.migratory_fraction.to_json()),
-            ("ls_coverage", self.ls_coverage.to_json()),
-            ("migratory_coverage", self.migratory_coverage.to_json()),
-            (
-                "false_sharing_fraction",
-                self.false_sharing_fraction.to_json(),
-            ),
-        ])
-    }
-}
-
-impl FromJson for RunSummary {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(RunSummary {
-            protocol: j.field("protocol")?,
-            nodes: j.field("nodes")?,
-            block_bytes: j.field("block_bytes")?,
-            exec_cycles: j.field("exec_cycles")?,
-            busy: j.field("busy")?,
-            read_stall: j.field("read_stall")?,
-            write_stall: j.field("write_stall")?,
-            traffic_read_bytes: j.field("traffic_read_bytes")?,
-            traffic_write_bytes: j.field("traffic_write_bytes")?,
-            traffic_other_bytes: j.field("traffic_other_bytes")?,
-            traffic_messages: j.field("traffic_messages")?,
-            global_reads: j.field("global_reads")?,
-            read_class: j.field("read_class")?,
-            upgrades: j.field("upgrades")?,
-            write_misses: j.field("write_misses")?,
-            invalidations: j.field("invalidations")?,
-            invalidations_per_shared_write: j.field("invalidations_per_shared_write")?,
-            exclusive_grants: j.field("exclusive_grants")?,
-            silent_stores: j.field("silent_stores")?,
-            retries: j.field("retries")?,
-            oracle_app: j.field("oracle_app")?,
-            oracle_lib: j.field("oracle_lib")?,
-            oracle_os: j.field("oracle_os")?,
-            ls_fraction: j.field("ls_fraction")?,
-            migratory_fraction: j.field("migratory_fraction")?,
-            ls_coverage: j.field("ls_coverage")?,
-            migratory_coverage: j.field("migratory_coverage")?,
-            false_sharing_fraction: j.field("false_sharing_fraction")?,
-        })
-    }
 }
 
 /// Flat, serializable summary of one bounded model-checking run
@@ -194,55 +139,20 @@ pub struct ModelCheckSummary {
     pub violation: String,
 }
 
-impl ModelCheckSummary {
-    /// Pretty-printed JSON document.
-    pub fn to_json(&self) -> String {
-        ToJson::to_json(self).pretty()
-    }
-
-    /// Parse a summary previously written by [`ModelCheckSummary::to_json`].
-    pub fn parse(text: &str) -> Result<Self, String> {
-        FromJson::from_json(&Json::parse(text)?)
-    }
-}
-
-impl ToJson for ModelCheckSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("protocol", self.protocol.to_json()),
-            ("nodes", self.nodes.to_json()),
-            ("blocks", self.blocks.to_json()),
-            ("max_ops", self.max_ops.to_json()),
-            ("states", self.states.to_json()),
-            ("transitions", self.transitions.to_json()),
-            ("dedup_hits", self.dedup_hits.to_json()),
-            ("max_frontier", self.max_frontier.to_json()),
-            ("max_depth", self.max_depth.to_json()),
-            ("wall_ms", self.wall_ms.to_json()),
-            ("state_fingerprint", self.state_fingerprint.to_json()),
-            ("violation", self.violation.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ModelCheckSummary {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(ModelCheckSummary {
-            protocol: j.field("protocol")?,
-            nodes: j.field("nodes")?,
-            blocks: j.field("blocks")?,
-            max_ops: j.field("max_ops")?,
-            states: j.field("states")?,
-            transitions: j.field("transitions")?,
-            dedup_hits: j.field("dedup_hits")?,
-            max_frontier: j.field("max_frontier")?,
-            max_depth: j.field("max_depth")?,
-            wall_ms: j.field("wall_ms")?,
-            state_fingerprint: j.field("state_fingerprint")?,
-            violation: j.field("violation")?,
-        })
-    }
-}
+json_record!(ModelCheckSummary {
+    protocol,
+    nodes,
+    blocks,
+    max_ops,
+    states,
+    transitions,
+    dedup_hits,
+    max_frontier,
+    max_depth,
+    wall_ms,
+    state_fingerprint,
+    violation
+});
 
 /// Flat, serializable summary of one parametric verification run
 /// (`ccsim verify`): abstract reachability over the counter-abstraction
@@ -276,55 +186,20 @@ pub struct VerifySummary {
     pub engine_violations: u64,
 }
 
-impl VerifySummary {
-    /// Pretty-printed JSON document.
-    pub fn to_json(&self) -> String {
-        ToJson::to_json(self).pretty()
-    }
-
-    /// Parse a summary previously written by [`VerifySummary::to_json`].
-    pub fn parse(text: &str) -> Result<Self, String> {
-        FromJson::from_json(&Json::parse(text)?)
-    }
-}
-
-impl ToJson for VerifySummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("protocol", self.protocol.to_json()),
-            ("abstract_states", self.abstract_states.to_json()),
-            ("transitions", self.transitions.to_json()),
-            ("widenings", self.widenings.to_json()),
-            ("max_depth", self.max_depth.to_json()),
-            ("wall_ms", self.wall_ms.to_json()),
-            ("fingerprint", self.fingerprint.to_json()),
-            ("parametric", self.parametric.to_json()),
-            ("violation", self.violation.to_json()),
-            ("refinement", self.refinement.to_json()),
-            ("concretized_nodes", self.concretized_nodes.to_json()),
-            ("engine_violations", self.engine_violations.to_json()),
-        ])
-    }
-}
-
-impl FromJson for VerifySummary {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(VerifySummary {
-            protocol: j.field("protocol")?,
-            abstract_states: j.field("abstract_states")?,
-            transitions: j.field("transitions")?,
-            widenings: j.field("widenings")?,
-            max_depth: j.field("max_depth")?,
-            wall_ms: j.field("wall_ms")?,
-            fingerprint: j.field("fingerprint")?,
-            parametric: j.field("parametric")?,
-            violation: j.field("violation")?,
-            refinement: j.field("refinement")?,
-            concretized_nodes: j.field("concretized_nodes")?,
-            engine_violations: j.field("engine_violations")?,
-        })
-    }
-}
+json_record!(VerifySummary {
+    protocol,
+    abstract_states,
+    transitions,
+    widenings,
+    max_depth,
+    wall_ms,
+    fingerprint,
+    parametric,
+    violation,
+    refinement,
+    concretized_nodes,
+    engine_violations
+});
 
 /// Flat, serializable output of the static trace analyzer (`ccsim analyze`,
 /// [`crate::analysis`]). Pairs the paper-taxonomy block classification
@@ -379,97 +254,35 @@ pub struct AnalysisSummary {
     pub false_sharing_fraction: f64,
 }
 
-impl AnalysisSummary {
-    /// Pretty-printed JSON document.
-    pub fn to_json(&self) -> String {
-        ToJson::to_json(self).pretty()
-    }
-
-    /// Parse a summary previously written by [`AnalysisSummary::to_json`].
-    pub fn parse(text: &str) -> Result<Self, String> {
-        FromJson::from_json(&Json::parse(text)?)
-    }
-}
-
-impl ToJson for AnalysisSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("protocol", self.protocol.to_json()),
-            ("nodes", self.nodes.to_json()),
-            ("block_bytes", self.block_bytes.to_json()),
-            ("events", self.events.to_json()),
-            ("accesses", self.accesses.to_json()),
-            ("blocks", self.blocks.to_json()),
-            ("private_blocks", self.private_blocks.to_json()),
-            ("read_shared_blocks", self.read_shared_blocks.to_json()),
-            (
-                "producer_consumer_blocks",
-                self.producer_consumer_blocks.to_json(),
-            ),
-            ("load_store_blocks", self.load_store_blocks.to_json()),
-            ("migratory_blocks", self.migratory_blocks.to_json()),
-            ("irregular_blocks", self.irregular_blocks.to_json()),
-            (
-                "false_sharing_candidates",
-                self.false_sharing_candidates.to_json(),
-            ),
-            ("ideal_global_reads", self.ideal_global_reads.to_json()),
-            ("ideal_global_writes", self.ideal_global_writes.to_json()),
-            ("ideal_ls_writes", self.ideal_ls_writes.to_json()),
-            (
-                "ideal_migratory_writes",
-                self.ideal_migratory_writes.to_json(),
-            ),
-            ("global_reads", self.global_reads.to_json()),
-            ("global_writes", self.global_writes.to_json()),
-            ("ls_writes", self.ls_writes.to_json()),
-            ("migratory_writes", self.migratory_writes.to_json()),
-            ("eliminated", self.eliminated.to_json()),
-            ("eliminated_ls", self.eliminated_ls.to_json()),
-            ("eliminated_migratory", self.eliminated_migratory.to_json()),
-            ("silent_stores", self.silent_stores.to_json()),
-            ("ls_upper_bound", self.ls_upper_bound.to_json()),
-            (
-                "false_sharing_fraction",
-                self.false_sharing_fraction.to_json(),
-            ),
-        ])
-    }
-}
-
-impl FromJson for AnalysisSummary {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(AnalysisSummary {
-            protocol: j.field("protocol")?,
-            nodes: j.field("nodes")?,
-            block_bytes: j.field("block_bytes")?,
-            events: j.field("events")?,
-            accesses: j.field("accesses")?,
-            blocks: j.field("blocks")?,
-            private_blocks: j.field("private_blocks")?,
-            read_shared_blocks: j.field("read_shared_blocks")?,
-            producer_consumer_blocks: j.field("producer_consumer_blocks")?,
-            load_store_blocks: j.field("load_store_blocks")?,
-            migratory_blocks: j.field("migratory_blocks")?,
-            irregular_blocks: j.field("irregular_blocks")?,
-            false_sharing_candidates: j.field("false_sharing_candidates")?,
-            ideal_global_reads: j.field("ideal_global_reads")?,
-            ideal_global_writes: j.field("ideal_global_writes")?,
-            ideal_ls_writes: j.field("ideal_ls_writes")?,
-            ideal_migratory_writes: j.field("ideal_migratory_writes")?,
-            global_reads: j.field("global_reads")?,
-            global_writes: j.field("global_writes")?,
-            ls_writes: j.field("ls_writes")?,
-            migratory_writes: j.field("migratory_writes")?,
-            eliminated: j.field("eliminated")?,
-            eliminated_ls: j.field("eliminated_ls")?,
-            eliminated_migratory: j.field("eliminated_migratory")?,
-            silent_stores: j.field("silent_stores")?,
-            ls_upper_bound: j.field("ls_upper_bound")?,
-            false_sharing_fraction: j.field("false_sharing_fraction")?,
-        })
-    }
-}
+json_record!(AnalysisSummary {
+    protocol,
+    nodes,
+    block_bytes,
+    events,
+    accesses,
+    blocks,
+    private_blocks,
+    read_shared_blocks,
+    producer_consumer_blocks,
+    load_store_blocks,
+    migratory_blocks,
+    irregular_blocks,
+    false_sharing_candidates,
+    ideal_global_reads,
+    ideal_global_writes,
+    ideal_ls_writes,
+    ideal_migratory_writes,
+    global_reads,
+    global_writes,
+    ls_writes,
+    migratory_writes,
+    eliminated,
+    eliminated_ls,
+    eliminated_migratory,
+    silent_stores,
+    ls_upper_bound,
+    false_sharing_fraction
+});
 
 /// Flat, serializable summary of one SC-conformance analysis (`ccsim race`,
 /// `ccsim-race`). Counts describe the size of the checked problem (so a
@@ -513,6 +326,30 @@ pub struct RaceSummary {
     pub first_violation: String,
 }
 
+json_record!(RaceSummary {
+    protocol,
+    nodes,
+    events,
+    accesses,
+    reads,
+    writes,
+    blocks,
+    words,
+    po_edges,
+    rf_edges,
+    co_edges,
+    fr_edges,
+    ack_edges,
+    excl_grants_checked,
+    notls_checked,
+    ls_writes_checked,
+    sc_witness,
+    sc_order_fingerprint,
+    violations,
+    suppressed,
+    first_violation
+});
+
 impl RaceSummary {
     pub fn from_report(protocol: &str, nodes: u16, r: &ccsim_race::RaceReport) -> Self {
         let c = &r.counts;
@@ -543,72 +380,6 @@ impl RaceSummary {
                 .unwrap_or_default(),
         }
     }
-
-    /// Pretty-printed JSON document.
-    pub fn to_json(&self) -> String {
-        ToJson::to_json(self).pretty()
-    }
-
-    /// Parse a summary previously written by [`RaceSummary::to_json`].
-    pub fn parse(text: &str) -> Result<Self, String> {
-        FromJson::from_json(&Json::parse(text)?)
-    }
-}
-
-impl ToJson for RaceSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("protocol", self.protocol.to_json()),
-            ("nodes", self.nodes.to_json()),
-            ("events", self.events.to_json()),
-            ("accesses", self.accesses.to_json()),
-            ("reads", self.reads.to_json()),
-            ("writes", self.writes.to_json()),
-            ("blocks", self.blocks.to_json()),
-            ("words", self.words.to_json()),
-            ("po_edges", self.po_edges.to_json()),
-            ("rf_edges", self.rf_edges.to_json()),
-            ("co_edges", self.co_edges.to_json()),
-            ("fr_edges", self.fr_edges.to_json()),
-            ("ack_edges", self.ack_edges.to_json()),
-            ("excl_grants_checked", self.excl_grants_checked.to_json()),
-            ("notls_checked", self.notls_checked.to_json()),
-            ("ls_writes_checked", self.ls_writes_checked.to_json()),
-            ("sc_witness", self.sc_witness.to_json()),
-            ("sc_order_fingerprint", self.sc_order_fingerprint.to_json()),
-            ("violations", self.violations.to_json()),
-            ("suppressed", self.suppressed.to_json()),
-            ("first_violation", self.first_violation.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RaceSummary {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(RaceSummary {
-            protocol: j.field("protocol")?,
-            nodes: j.field("nodes")?,
-            events: j.field("events")?,
-            accesses: j.field("accesses")?,
-            reads: j.field("reads")?,
-            writes: j.field("writes")?,
-            blocks: j.field("blocks")?,
-            words: j.field("words")?,
-            po_edges: j.field("po_edges")?,
-            rf_edges: j.field("rf_edges")?,
-            co_edges: j.field("co_edges")?,
-            fr_edges: j.field("fr_edges")?,
-            ack_edges: j.field("ack_edges")?,
-            excl_grants_checked: j.field("excl_grants_checked")?,
-            notls_checked: j.field("notls_checked")?,
-            ls_writes_checked: j.field("ls_writes_checked")?,
-            sc_witness: j.field("sc_witness")?,
-            sc_order_fingerprint: j.field("sc_order_fingerprint")?,
-            violations: j.field("violations")?,
-            suppressed: j.field("suppressed")?,
-            first_violation: j.field("first_violation")?,
-        })
-    }
 }
 
 /// Flat, serializable summary of one chaos sweep (`ccsim chaos`,
@@ -638,47 +409,16 @@ pub struct ChaosSummary {
     pub witness_failure: String,
 }
 
-impl ChaosSummary {
-    /// Pretty-printed JSON document.
-    pub fn to_json(&self) -> String {
-        ToJson::to_json(self).pretty()
-    }
-
-    /// Parse a summary previously written by [`ChaosSummary::to_json`].
-    pub fn parse(text: &str) -> Result<Self, String> {
-        FromJson::from_json(&Json::parse(text)?)
-    }
-}
-
-impl ToJson for ChaosSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("cells", self.cells.to_json()),
-            ("failures", self.failures.to_json()),
-            ("sc_checked", self.sc_checked.to_json()),
-            ("retransmits", self.retransmits.to_json()),
-            ("nacks", self.nacks.to_json()),
-            ("witness_accesses", self.witness_accesses.to_json()),
-            ("witness_protocol", self.witness_protocol.to_json()),
-            ("witness_failure", self.witness_failure.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ChaosSummary {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(ChaosSummary {
-            cells: j.field("cells")?,
-            failures: j.field("failures")?,
-            sc_checked: j.field("sc_checked")?,
-            retransmits: j.field("retransmits")?,
-            nacks: j.field("nacks")?,
-            witness_accesses: j.field("witness_accesses")?,
-            witness_protocol: j.field("witness_protocol")?,
-            witness_failure: j.field("witness_failure")?,
-        })
-    }
-}
+json_record!(ChaosSummary {
+    cells,
+    failures,
+    sc_checked,
+    retransmits,
+    nacks,
+    witness_accesses,
+    witness_protocol,
+    witness_failure
+});
 
 /// Schema tag stamped into every [`ServeSummary`] document.
 pub const SERVE_SCHEMA: &str = "ccsim-serve-v1";
@@ -697,31 +437,14 @@ pub struct ServeClassLatency {
     pub max: u64,
 }
 
-impl ToJson for ServeClassLatency {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("class", self.class.to_json()),
-            ("count", self.count.to_json()),
-            ("p50", self.p50.to_json()),
-            ("p90", self.p90.to_json()),
-            ("p99", self.p99.to_json()),
-            ("max", self.max.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ServeClassLatency {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(ServeClassLatency {
-            class: j.field("class")?,
-            count: j.field("count")?,
-            p50: j.field("p50")?,
-            p90: j.field("p90")?,
-            p99: j.field("p99")?,
-            max: j.field("max")?,
-        })
-    }
-}
+json_record!(ServeClassLatency {
+    class,
+    count,
+    p50,
+    p90,
+    p99,
+    max
+});
 
 /// One protocol's row in a serve comparison: service-level numbers (stop
 /// reason, throughput, queue behaviour, per-class latency) next to the
@@ -748,53 +471,22 @@ pub struct ServeRow {
     pub classes: Vec<ServeClassLatency>,
 }
 
-impl ToJson for ServeRow {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("protocol", self.protocol.to_json()),
-            ("stop", self.stop.to_json()),
-            ("cycles", self.cycles.to_json()),
-            ("admitted", self.admitted.to_json()),
-            ("completed", self.completed.to_json()),
-            ("dropped", self.dropped.to_json()),
-            (
-                "throughput_per_mcycle",
-                self.throughput_per_mcycle.to_json(),
-            ),
-            ("max_queue_depth", self.max_queue_depth.to_json()),
-            ("hot_row_conflicts", self.hot_row_conflicts.to_json()),
-            (
-                "ownership_acquisitions",
-                self.ownership_acquisitions.to_json(),
-            ),
-            ("invalidations", self.invalidations.to_json()),
-            ("write_stall", self.write_stall.to_json()),
-            ("traffic_bytes", self.traffic_bytes.to_json()),
-            ("classes", self.classes.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ServeRow {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(ServeRow {
-            protocol: j.field("protocol")?,
-            stop: j.field("stop")?,
-            cycles: j.field("cycles")?,
-            admitted: j.field("admitted")?,
-            completed: j.field("completed")?,
-            dropped: j.field("dropped")?,
-            throughput_per_mcycle: j.field("throughput_per_mcycle")?,
-            max_queue_depth: j.field("max_queue_depth")?,
-            hot_row_conflicts: j.field("hot_row_conflicts")?,
-            ownership_acquisitions: j.field("ownership_acquisitions")?,
-            invalidations: j.field("invalidations")?,
-            write_stall: j.field("write_stall")?,
-            traffic_bytes: j.field("traffic_bytes")?,
-            classes: j.field("classes")?,
-        })
-    }
-}
+json_record!(ServeRow {
+    protocol,
+    stop,
+    cycles,
+    admitted,
+    completed,
+    dropped,
+    throughput_per_mcycle,
+    max_queue_depth,
+    hot_row_conflicts,
+    ownership_acquisitions,
+    invalidations,
+    write_stall,
+    traffic_bytes,
+    classes
+});
 
 /// Flat, serializable summary of one serve sweep (`ccsim serve`,
 /// `ccsim-serve`): the offered-load configuration echoed back (so the
@@ -815,15 +507,22 @@ pub struct ServeSummary {
     pub rows: Vec<ServeRow>,
 }
 
-impl ServeSummary {
-    /// Pretty-printed JSON document.
-    pub fn to_json(&self) -> String {
-        ToJson::to_json(self).pretty()
-    }
+json_record!(ServeSummary {
+    schema,
+    nodes,
+    clients,
+    skew_per_mille,
+    rate_per_mcycle,
+    mix_per_mille,
+    seed,
+    rows
+});
 
-    /// Parse a summary previously written by [`ServeSummary::to_json`].
+impl ServeSummary {
+    /// Parse a summary document, rejecting any schema tag other than
+    /// [`SERVE_SCHEMA`].
     pub fn parse(text: &str) -> Result<Self, String> {
-        let s: ServeSummary = FromJson::from_json(&Json::parse(text)?)?;
+        let s = ServeSummary::from_text(text)?;
         if s.schema != SERVE_SCHEMA {
             return Err(format!(
                 "serve: unknown schema {:?} (expected {SERVE_SCHEMA:?})",
@@ -834,41 +533,12 @@ impl ServeSummary {
     }
 }
 
-impl ToJson for ServeSummary {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", self.schema.to_json()),
-            ("nodes", self.nodes.to_json()),
-            ("clients", self.clients.to_json()),
-            ("skew_per_mille", self.skew_per_mille.to_json()),
-            ("rate_per_mcycle", self.rate_per_mcycle.to_json()),
-            ("mix_per_mille", self.mix_per_mille.to_json()),
-            ("seed", self.seed.to_json()),
-            ("rows", self.rows.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ServeSummary {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(ServeSummary {
-            schema: j.field("schema")?,
-            nodes: j.field("nodes")?,
-            clients: j.field("clients")?,
-            skew_per_mille: j.field("skew_per_mille")?,
-            rate_per_mcycle: j.field("rate_per_mcycle")?,
-            mix_per_mille: j.field("mix_per_mille")?,
-            seed: j.field("seed")?,
-            rows: j.field("rows")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccsim_engine::SimBuilder;
     use ccsim_types::{MachineConfig, ProtocolKind};
+    use ccsim_util::ToJson;
 
     fn toy_run() -> RunStats {
         let mut b = SimBuilder::new(MachineConfig::splash_baseline(ProtocolKind::Ls));
@@ -883,8 +553,8 @@ mod tests {
     #[test]
     fn summary_round_trips_through_json() {
         let s = RunSummary::from_stats(&toy_run());
-        let json = s.to_json();
-        let back = RunSummary::parse(&json).unwrap();
+        let json = s.to_json().pretty();
+        let back = RunSummary::from_text(&json).unwrap();
         assert_eq!(s, back);
         assert_eq!(back.protocol, "LS");
         assert_eq!(back.nodes, 4);
@@ -908,7 +578,7 @@ mod tests {
             state_fingerprint: u64::MAX - 1,
             violation: String::new(),
         };
-        let back = ModelCheckSummary::parse(&s.to_json()).unwrap();
+        let back = ModelCheckSummary::from_text(&s.to_json().pretty()).unwrap();
         assert_eq!(s, back);
         assert_eq!(back.state_fingerprint, u64::MAX - 1);
     }
@@ -925,7 +595,7 @@ mod tests {
             witness_protocol: "Baseline".into(),
             witness_failure: "invariant violation: SWMR".into(),
         };
-        let back = ChaosSummary::parse(&s.to_json()).unwrap();
+        let back = ChaosSummary::from_text(&s.to_json().pretty()).unwrap();
         assert_eq!(s, back);
         assert_eq!(back.witness_accesses, 9);
     }
@@ -961,7 +631,7 @@ mod tests {
             ls_upper_bound: 9,
             false_sharing_fraction: 0.25,
         };
-        let back = AnalysisSummary::parse(&s.to_json()).unwrap();
+        let back = AnalysisSummary::from_text(&s.to_json().pretty()).unwrap();
         assert_eq!(s, back);
     }
 
@@ -992,7 +662,7 @@ mod tests {
             suppressed: 0,
             first_violation: String::new(),
         };
-        let back = RaceSummary::parse(&s.to_json()).unwrap();
+        let back = RaceSummary::from_text(&s.to_json().pretty()).unwrap();
         assert_eq!(s, back);
         assert_eq!(back.sc_order_fingerprint, u64::MAX - 3);
     }
@@ -1052,14 +722,14 @@ mod tests {
                 classes: vec![class("point_read", 4_000), class("rmw", 9_000)],
             }],
         };
-        let back = ServeSummary::parse(&s.to_json()).unwrap();
+        let back = ServeSummary::parse(&s.to_json().pretty()).unwrap();
         assert_eq!(s, back);
         // u64 bit-exactness through the dedicated U64 Json variant.
         assert_eq!(back.seed, u64::MAX - 7);
         // A wrong schema tag is rejected, not silently accepted.
         let mut other = s.clone();
         other.schema = "ccsim-serve-v0".into();
-        let err = ServeSummary::parse(&other.to_json()).unwrap_err();
+        let err = ServeSummary::parse(&other.to_json().pretty()).unwrap_err();
         assert!(err.contains("unknown schema"), "{err}");
     }
 

@@ -155,6 +155,6 @@ fn run_summary_reflects_synthetic_values_and_round_trips() {
     );
     assert_eq!(s.read_class, [100, 50, 30, 20]);
     assert_eq!(s.global_reads, 200);
-    let back = RunSummary::parse(&s.to_json()).unwrap();
+    let back = RunSummary::from_text(&s.to_json().pretty()).unwrap();
     assert_eq!(back, s);
 }

@@ -10,6 +10,8 @@
 //!   cycles, a 2-hop *home* miss 220 cycles and a 4-hop *remote*
 //!   (read-on-dirty) miss 420 cycles, exactly the derived rows of Table 1.
 
+use ccsim_util::json_record;
+
 /// Geometry and access time of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -23,6 +25,13 @@ pub struct CacheConfig {
     /// Hit access time in cycles.
     pub access_cycles: u64,
 }
+
+json_record!(CacheConfig {
+    size_bytes,
+    assoc,
+    block_bytes,
+    access_cycles
+});
 
 impl CacheConfig {
     /// Number of blocks the cache holds.
@@ -87,6 +96,16 @@ pub struct LatencyConfig {
     /// costs exactly the 100 cycles of Table 1.
     pub node_bus: u64,
 }
+
+json_record!(LatencyConfig {
+    l1_hit,
+    l2_hit,
+    mem,
+    mc,
+    net,
+    owner_access,
+    node_bus
+});
 
 impl Default for LatencyConfig {
     fn default() -> Self {
@@ -209,6 +228,13 @@ pub struct LsConfig {
     pub detag_hysteresis: u8,
 }
 
+json_record!(LsConfig {
+    default_tagged,
+    keep_on_unpaired_write,
+    tag_hysteresis,
+    detag_hysteresis
+});
+
 impl Default for LsConfig {
     fn default() -> Self {
         LsConfig {
@@ -226,6 +252,8 @@ pub struct AdConfig {
     /// §5.5: treat every block as migratory by default.
     pub default_tagged: bool,
 }
+
+json_record!(AdConfig { default_tagged });
 
 /// A deliberately broken protocol rule, used by the model checker's mutation
 /// tests (and nothing else) to prove the checker actually detects bugs.
@@ -522,6 +550,20 @@ pub struct MachineConfig {
     /// Deterministic fault-injection plan (disabled by default).
     pub faults: FaultConfig,
 }
+
+json_record!(MachineConfig {
+    nodes,
+    l1,
+    l2,
+    latency,
+    protocol,
+    page_bytes,
+    schedule_quantum,
+    seed,
+    consistency,
+    topology,
+    faults
+});
 
 impl MachineConfig {
     /// Baseline configuration used for all applications except OLTP (§4.2):

@@ -1,67 +1,18 @@
-//! JSON encodings for the configuration vocabulary.
+//! Hand-written JSON encodings for the configuration types whose decoding
+//! does more than read fields: the tagged enums, `ProtocolConfig` (its
+//! testing-only mutation field is not encoded) and `FaultConfig`
+//! (validated at decode). The plain records derive theirs with
+//! `json_record!` beside their definitions in [`crate::config`].
 //!
-//! These impls define the canonical serialized form of a machine
+//! Together these define the canonical serialized form of a machine
 //! description. The run cache keys entries by hashing this encoding, so the
-//! field order and spelling here are part of the cache format: changing
-//! them invalidates old cache entries (by design — see the format salt in
+//! field order and spelling are part of the cache format: changing them
+//! invalidates old cache entries (by design — see the format salt in
 //! `ccsim-harness`), but must never make two *different* configurations
 //! encode identically.
 
-use crate::{
-    AdConfig, CacheConfig, Consistency, FaultConfig, LatencyConfig, LsConfig, MachineConfig,
-    ProtocolConfig, ProtocolKind, Topology,
-};
+use crate::{Consistency, FaultConfig, ProtocolConfig, ProtocolKind, Topology};
 use ccsim_util::{FromJson, Json, ToJson};
-
-impl ToJson for CacheConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("size_bytes", self.size_bytes.to_json()),
-            ("assoc", self.assoc.to_json()),
-            ("block_bytes", self.block_bytes.to_json()),
-            ("access_cycles", self.access_cycles.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CacheConfig {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(CacheConfig {
-            size_bytes: j.field("size_bytes")?,
-            assoc: j.field("assoc")?,
-            block_bytes: j.field("block_bytes")?,
-            access_cycles: j.field("access_cycles")?,
-        })
-    }
-}
-
-impl ToJson for LatencyConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("l1_hit", self.l1_hit.to_json()),
-            ("l2_hit", self.l2_hit.to_json()),
-            ("mem", self.mem.to_json()),
-            ("mc", self.mc.to_json()),
-            ("net", self.net.to_json()),
-            ("owner_access", self.owner_access.to_json()),
-            ("node_bus", self.node_bus.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LatencyConfig {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(LatencyConfig {
-            l1_hit: j.field("l1_hit")?,
-            l2_hit: j.field("l2_hit")?,
-            mem: j.field("mem")?,
-            mc: j.field("mc")?,
-            net: j.field("net")?,
-            owner_access: j.field("owner_access")?,
-            node_bus: j.field("node_bus")?,
-        })
-    }
-}
 
 impl ToJson for Consistency {
     fn to_json(&self) -> Json {
@@ -100,45 +51,6 @@ impl FromJson for ProtocolKind {
             "DSI" => Ok(ProtocolKind::Dsi),
             other => Err(format!("unknown protocol `{other}`")),
         }
-    }
-}
-
-impl ToJson for LsConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("default_tagged", self.default_tagged.to_json()),
-            (
-                "keep_on_unpaired_write",
-                self.keep_on_unpaired_write.to_json(),
-            ),
-            ("tag_hysteresis", self.tag_hysteresis.to_json()),
-            ("detag_hysteresis", self.detag_hysteresis.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LsConfig {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(LsConfig {
-            default_tagged: j.field("default_tagged")?,
-            keep_on_unpaired_write: j.field("keep_on_unpaired_write")?,
-            tag_hysteresis: j.field("tag_hysteresis")?,
-            detag_hysteresis: j.field("detag_hysteresis")?,
-        })
-    }
-}
-
-impl ToJson for AdConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![("default_tagged", self.default_tagged.to_json())])
-    }
-}
-
-impl FromJson for AdConfig {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(AdConfig {
-            default_tagged: j.field("default_tagged")?,
-        })
     }
 }
 
@@ -227,45 +139,10 @@ impl FromJson for FaultConfig {
     }
 }
 
-impl ToJson for MachineConfig {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("nodes", self.nodes.to_json()),
-            ("l1", self.l1.to_json()),
-            ("l2", self.l2.to_json()),
-            ("latency", self.latency.to_json()),
-            ("protocol", self.protocol.to_json()),
-            ("page_bytes", self.page_bytes.to_json()),
-            ("schedule_quantum", self.schedule_quantum.to_json()),
-            ("seed", self.seed.to_json()),
-            ("consistency", self.consistency.to_json()),
-            ("topology", self.topology.to_json()),
-            ("faults", self.faults.to_json()),
-        ])
-    }
-}
-
-impl FromJson for MachineConfig {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(MachineConfig {
-            nodes: j.field("nodes")?,
-            l1: j.field("l1")?,
-            l2: j.field("l2")?,
-            latency: j.field("latency")?,
-            protocol: j.field("protocol")?,
-            page_bytes: j.field("page_bytes")?,
-            schedule_quantum: j.field("schedule_quantum")?,
-            seed: j.field("seed")?,
-            consistency: j.field("consistency")?,
-            topology: j.field("topology")?,
-            faults: j.field("faults")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MachineConfig;
 
     #[test]
     fn machine_config_round_trips() {

@@ -164,7 +164,11 @@ impl FromJson for LatencyHistogram {
         h.count = j.field("count")?;
         h.max = j.field("max")?;
         h.total = j.field("total")?;
-        let sum: u64 = h.counts.iter().sum();
+        let sum = h
+            .counts
+            .iter()
+            .try_fold(0u64, |s, &c| s.checked_add(c))
+            .ok_or("bucket counts overflow u64")?;
         if sum != h.count {
             return Err(format!("bucket sum {sum} != count {}", h.count));
         }

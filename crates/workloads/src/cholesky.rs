@@ -24,6 +24,7 @@
 use ccsim_engine::SimBuilder;
 use ccsim_sync::{Barrier, BarrierSense};
 use ccsim_types::{Addr, SimRng};
+use ccsim_util::json_record;
 
 /// Cholesky sizing.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,6 +38,14 @@ pub struct CholeskyParams {
     pub procs: u16,
     pub seed: u64,
 }
+
+json_record!(CholeskyParams {
+    cols,
+    col_words,
+    waves,
+    procs,
+    seed
+});
 
 impl CholeskyParams {
     /// 4-processor evaluation shape: 128 columns × 4 kB ⇒ a 128 kB panel

@@ -72,104 +72,6 @@ impl FromJson for Spec {
     }
 }
 
-impl ToJson for mp3d::Mp3dParams {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("particles", self.particles.to_json()),
-            ("steps", self.steps.to_json()),
-            ("cells", self.cells.to_json()),
-            ("procs", self.procs.to_json()),
-            ("seed", self.seed.to_json()),
-        ])
-    }
-}
-
-impl FromJson for mp3d::Mp3dParams {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(mp3d::Mp3dParams {
-            particles: j.field("particles")?,
-            steps: j.field("steps")?,
-            cells: j.field("cells")?,
-            procs: j.field("procs")?,
-            seed: j.field("seed")?,
-        })
-    }
-}
-
-impl ToJson for lu::LuParams {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("n", self.n.to_json()),
-            ("block", self.block.to_json()),
-            ("procs", self.procs.to_json()),
-            ("seed", self.seed.to_json()),
-        ])
-    }
-}
-
-impl FromJson for lu::LuParams {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(lu::LuParams {
-            n: j.field("n")?,
-            block: j.field("block")?,
-            procs: j.field("procs")?,
-            seed: j.field("seed")?,
-        })
-    }
-}
-
-impl ToJson for cholesky::CholeskyParams {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("cols", self.cols.to_json()),
-            ("col_words", self.col_words.to_json()),
-            ("waves", self.waves.to_json()),
-            ("procs", self.procs.to_json()),
-            ("seed", self.seed.to_json()),
-        ])
-    }
-}
-
-impl FromJson for cholesky::CholeskyParams {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(cholesky::CholeskyParams {
-            cols: j.field("cols")?,
-            col_words: j.field("col_words")?,
-            waves: j.field("waves")?,
-            procs: j.field("procs")?,
-            seed: j.field("seed")?,
-        })
-    }
-}
-
-impl ToJson for oltp::OltpParams {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("branches", self.branches.to_json()),
-            ("accounts", self.accounts.to_json()),
-            ("index_words", self.index_words.to_json()),
-            ("txns_per_proc", self.txns_per_proc.to_json()),
-            ("procs", self.procs.to_json()),
-            ("seed", self.seed.to_json()),
-            ("static_hints", self.static_hints.to_json()),
-        ])
-    }
-}
-
-impl FromJson for oltp::OltpParams {
-    fn from_json(j: &Json) -> Result<Self, String> {
-        Ok(oltp::OltpParams {
-            branches: j.field("branches")?,
-            accounts: j.field("accounts")?,
-            index_words: j.field("index_words")?,
-            txns_per_proc: j.field("txns_per_proc")?,
-            procs: j.field("procs")?,
-            seed: j.field("seed")?,
-            static_hints: j.field("static_hints")?,
-        })
-    }
-}
-
 /// Build and run one workload on one machine configuration.
 pub fn run_spec(cfg: MachineConfig, spec: &Spec) -> RunStats {
     let mut b = SimBuilder::new(cfg);

@@ -23,6 +23,7 @@
 use ccsim_engine::SimBuilder;
 use ccsim_sync::{Barrier, BarrierSense};
 use ccsim_types::{Addr, SimRng};
+use ccsim_util::json_record;
 
 /// LU sizing.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,6 +37,13 @@ pub struct LuParams {
     pub procs: u16,
     pub seed: u64,
 }
+
+json_record!(LuParams {
+    n,
+    block,
+    procs,
+    seed
+});
 
 impl LuParams {
     /// Default evaluation size: 128×128, B=16, 4 processors.

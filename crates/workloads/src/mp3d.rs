@@ -21,6 +21,7 @@
 use ccsim_engine::SimBuilder;
 use ccsim_sync::{Barrier, BarrierSense};
 use ccsim_types::{Addr, SimRng};
+use ccsim_util::json_record;
 
 /// MP3D sizing.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,6 +37,14 @@ pub struct Mp3dParams {
     /// Workload RNG seed.
     pub seed: u64,
 }
+
+json_record!(Mp3dParams {
+    particles,
+    steps,
+    cells,
+    procs,
+    seed
+});
 
 impl Mp3dParams {
     /// The paper's configuration: 10k particles, 10 steps.

@@ -28,6 +28,7 @@ pub mod ops;
 
 use ccsim_engine::{Component, Proc, SimBuilder};
 use ccsim_types::{Addr, SimRng};
+use ccsim_util::json_record;
 
 pub use layout::{DbLayout, HISTORY_WORDS, RECORD_WORDS};
 
@@ -52,6 +53,16 @@ pub struct OltpParams {
     /// which is exactly why the static approach loses coverage on OLTP.
     pub static_hints: bool,
 }
+
+json_record!(OltpParams {
+    branches,
+    accounts,
+    index_words,
+    txns_per_proc,
+    procs,
+    seed,
+    static_hints
+});
 
 impl OltpParams {
     /// Evaluation shape: 40 branches, 64k accounts (2 MB table vs 512 kB

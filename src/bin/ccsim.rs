@@ -356,7 +356,7 @@ fn load_trace(cmd: &str, path: &str, o: &Opts, kind: ProtocolKind) -> (MachineCo
 
 fn print_run(r: &RunStats, json: bool) {
     if json {
-        println!("{}", RunSummary::from_stats(r).to_json());
+        print!("{}", RunSummary::from_stats(r).to_json().pretty());
     } else {
         println!("protocol        {}", r.protocol.label());
         println!("exec cycles     {}", r.exec_cycles);
@@ -445,7 +445,7 @@ fn main() {
                 });
                 let s = summarize(&ex);
                 if o.json {
-                    docs.push(ToJson::to_json(&s));
+                    docs.push(s.to_json());
                 } else {
                     println!(
                         "{:<8} nodes={} blocks={} max-ops={}: {} states, {} transitions, \
@@ -492,7 +492,7 @@ fn main() {
                 }
             }
             if o.json {
-                println!("{}", Json::Arr(docs).pretty());
+                print!("{}", Json::Arr(docs).pretty());
             }
             let ok = if o.expect_violation {
                 violations > 0
@@ -525,7 +525,7 @@ fn main() {
                 });
                 let s = summarize_verify(&v);
                 if o.json {
-                    docs.push(ToJson::to_json(&s));
+                    docs.push(s.to_json());
                 } else {
                     println!(
                         "{:<8} abstract: {} states, {} transitions, {} widenings, depth {}, \
@@ -587,7 +587,7 @@ fn main() {
                 }
             }
             if o.json {
-                println!("{}", Json::Arr(docs).pretty());
+                print!("{}", Json::Arr(docs).pretty());
             }
             let ok = if o.expect_violation {
                 violations > 0
@@ -640,7 +640,7 @@ fn main() {
                 }
                 None if o.json => {
                     let arr = Json::Arr(diags.iter().map(ToJson::to_json).collect());
-                    println!("{}", arr.pretty());
+                    print!("{}", arr.pretty());
                 }
                 None => {
                     for d in &diags {
@@ -679,7 +679,7 @@ fn main() {
                 exit(2);
             });
             if o.json {
-                println!("{}", s.to_json());
+                print!("{}", s.to_json().pretty());
             } else {
                 println!("protocol             {}", s.protocol);
                 println!("events / accesses    {} / {}", s.events, s.accesses);
@@ -732,7 +732,7 @@ fn main() {
             let report = race_check(&cfg.protocol, &log);
             if o.json {
                 let s = RaceSummary::from_report(cfg.protocol.kind.label(), cfg.nodes, &report);
-                println!("{}", s.to_json());
+                print!("{}", s.to_json().pretty());
             } else {
                 println!("{}", report.render(&log));
             }
@@ -794,7 +794,7 @@ fn main() {
                 exit(2);
             });
             if o.json {
-                println!("{}", outcome.summary().to_json());
+                print!("{}", outcome.summary().to_json().pretty());
             } else {
                 for c in &outcome.cells {
                     let verdict = match &c.failure {
@@ -906,7 +906,7 @@ fn main() {
             let reports = serve_sweep(base, &cfg, &kinds);
             let s = ccsim::serve::summarize(&cfg, &reports);
             if o.json {
-                println!("{}", s.to_json());
+                print!("{}", s.to_json().pretty());
             } else {
                 println!(
                     "serve: {} clients, zipf s={:.2}, {} arrivals/Mcycle, mix {:?}, seed {}",
@@ -968,7 +968,7 @@ fn main() {
             if o.json {
                 let arr = Json::Arr(
                     runs.iter()
-                        .map(|r| ToJson::to_json(&RunSummary::from_stats(r)))
+                        .map(|r| RunSummary::from_stats(r).to_json())
                         .collect(),
                 );
                 print!("{}", arr.pretty());

@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use ccsim::util::Json;
+
 fn ccsim(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_ccsim"))
         .args(args)
@@ -12,6 +14,13 @@ fn ccsim(args: &[&str]) -> (bool, String, String) {
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+/// `--json` output is exactly one canonical pretty-printed document: a
+/// compact encoding, or any trailing text, fails.
+fn assert_pretty_json(stdout: &str) {
+    let doc = Json::parse(stdout).unwrap_or_else(|e| panic!("{e}: {stdout}"));
+    assert_eq!(stdout, doc.pretty());
 }
 
 #[test]
@@ -42,6 +51,7 @@ fn run_json_output_parses() {
     assert!(ok);
     assert!(stdout.trim_start().starts_with('{'));
     assert!(stdout.contains("\"protocol\": \"Baseline\""));
+    assert_pretty_json(&stdout);
 }
 
 #[test]
@@ -110,6 +120,7 @@ fn model_json_emits_summaries() {
     assert!(stdout.trim_start().starts_with('['));
     assert!(stdout.contains("\"state_fingerprint\""));
     assert!(stdout.contains("\"violation\": \"\""));
+    assert_pretty_json(&stdout);
 }
 
 #[test]
@@ -157,6 +168,7 @@ fn verify_json_emits_summaries() {
     assert!(stdout.contains("\"abstract_states\""));
     assert!(stdout.contains("\"parametric\": true"));
     assert!(stdout.contains("\"violation\": \"\""));
+    assert_pretty_json(&stdout);
 }
 
 #[test]
@@ -335,6 +347,7 @@ fn race_json_emits_a_summary() {
         stdout.contains("\"first_violation\": \"\""),
         "stdout: {stdout}"
     );
+    assert_pretty_json(&stdout);
 }
 
 #[test]
@@ -422,6 +435,7 @@ fn chaos_json_emits_a_summary() {
         stdout.contains("\"witness_accesses\": 0"),
         "stdout: {stdout}"
     );
+    assert_pretty_json(&stdout);
 }
 
 #[test]
@@ -522,6 +536,7 @@ fn analyze_json_round_trips_through_a_saved_trace() {
     ]);
     assert!(ok);
     assert!(live.contains("\"ls_writes\""));
+    assert_pretty_json(&live);
     let (ok, replayed, _) = ccsim(&["analyze", "--trace", trace_s, "--protocol", "ls", "--json"]);
     assert!(ok);
     assert_eq!(
@@ -586,6 +601,7 @@ fn serve_json_emits_the_serve_schema() {
         stdout.contains("\"ownership_acquisitions\""),
         "stdout: {stdout}"
     );
+    assert_pretty_json(&stdout);
 }
 
 #[test]
