@@ -36,17 +36,36 @@ impl LineState {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Line {
     block: BlockAddr,
     state: LineState,
+    /// Tick of the last insert or touch; 0 marks an empty way (ticks start
+    /// at 1). Ticks are unique, so the minimum picks one LRU victim.
     last_use: u64,
 }
 
+impl Line {
+    const EMPTY: Line = Line {
+        block: BlockAddr(0),
+        state: LineState::Shared,
+        last_use: 0,
+    };
+
+    #[inline]
+    fn holds(&self, block: BlockAddr) -> bool {
+        self.last_use != 0 && self.block == block
+    }
+}
+
 /// A set-associative cache over block addresses.
+///
+/// The ways live in one fixed-stride slab, set `s` at
+/// `lines[s * assoc .. (s + 1) * assoc]`, so building a cache is one
+/// allocation and no operation allocates.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: Vec<Vec<Line>>,
+    lines: Box<[Line]>,
     assoc: usize,
     block_bytes: u64,
     /// `log2(block_bytes)` and `num_sets - 1`: the validated geometry is
@@ -60,9 +79,10 @@ impl Cache {
     pub fn new(cfg: &CacheConfig) -> Self {
         cfg.validate().expect("invalid cache config");
         let num_sets = cfg.num_sets() as usize;
+        let assoc = cfg.assoc as usize;
         Cache {
-            sets: vec![Vec::with_capacity(cfg.assoc as usize); num_sets],
-            assoc: cfg.assoc as usize,
+            lines: vec![Line::EMPTY; num_sets * assoc].into_boxed_slice(),
+            assoc,
             block_bytes: cfg.block_bytes,
             block_shift: cfg.block_bytes.trailing_zeros(),
             set_mask: num_sets as u64 - 1,
@@ -70,9 +90,27 @@ impl Cache {
         }
     }
 
+    /// Slab positions of the ways of `block`'s set.
     #[inline]
-    fn set_index(&self, block: BlockAddr) -> usize {
-        ((block.0 >> self.block_shift) & self.set_mask) as usize
+    fn ways(&self, block: BlockAddr) -> std::ops::Range<usize> {
+        let si = ((block.0 >> self.block_shift) & self.set_mask) as usize;
+        si * self.assoc..(si + 1) * self.assoc
+    }
+
+    #[inline]
+    fn set(&self, block: BlockAddr) -> &[Line] {
+        &self.lines[self.ways(block)]
+    }
+
+    #[inline]
+    fn set_mut(&mut self, block: BlockAddr) -> &mut [Line] {
+        let ways = self.ways(block);
+        &mut self.lines[ways]
+    }
+
+    #[inline]
+    fn find_mut(&mut self, block: BlockAddr) -> Option<&mut Line> {
+        self.set_mut(block).iter_mut().find(|l| l.holds(block))
     }
 
     #[inline]
@@ -83,19 +121,16 @@ impl Cache {
 
     /// State of `block` if present; does not affect LRU order.
     pub fn peek(&self, block: BlockAddr) -> Option<LineState> {
-        let si = self.set_index(block);
-        self.sets[si]
+        self.set(block)
             .iter()
-            .find(|l| l.block == block)
+            .find(|l| l.holds(block))
             .map(|l| l.state)
     }
 
     /// State of `block` if present, marking it most-recently-used.
     pub fn touch(&mut self, block: BlockAddr) -> Option<LineState> {
-        let si = self.set_index(block);
         let t = self.bump();
-        let set = &mut self.sets[si];
-        set.iter_mut().find(|l| l.block == block).map(|l| {
+        self.find_mut(block).map(|l| {
             l.last_use = t;
             l.state
         })
@@ -103,8 +138,7 @@ impl Cache {
 
     /// Overwrite the state of a present line; returns false if absent.
     pub fn set_state(&mut self, block: BlockAddr, state: LineState) -> bool {
-        let si = self.set_index(block);
-        match self.sets[si].iter_mut().find(|l| l.block == block) {
+        match self.find_mut(block) {
             Some(l) => {
                 l.state = state;
                 true
@@ -115,48 +149,41 @@ impl Cache {
 
     /// Remove `block`; returns its state if it was present.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<LineState> {
-        let si = self.set_index(block);
-        let set = &mut self.sets[si];
-        set.iter()
-            .position(|l| l.block == block)
-            .map(|i| set.swap_remove(i).state)
+        self.find_mut(block).map(|l| {
+            l.last_use = 0;
+            l.state
+        })
     }
 
     /// Insert `block` with `state`, evicting the LRU victim of the set when
     /// full. Returns the victim `(block, state)` if one was displaced.
     /// Inserting an already-present block just updates state + LRU.
     pub fn insert(&mut self, block: BlockAddr, state: LineState) -> Option<(BlockAddr, LineState)> {
-        let si = self.set_index(block);
         let t = self.bump();
-        let assoc = self.assoc;
-        let set = &mut self.sets[si];
-        if let Some(l) = set.iter_mut().find(|l| l.block == block) {
+        let set = self.set_mut(block);
+        if let Some(l) = set.iter_mut().find(|l| l.holds(block)) {
             l.state = state;
             l.last_use = t;
             return None;
         }
-        let victim = if set.len() == assoc {
-            let (vi, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .expect("full set has a victim");
-            let v = set.swap_remove(vi);
-            Some((v.block, v.state))
-        } else {
-            None
-        };
-        set.push(Line {
+        // An empty way has `last_use == 0`, below every resident line, so
+        // the minimum is an empty way whenever the set has one.
+        let way = set
+            .iter_mut()
+            .min_by_key(|l| l.last_use)
+            .expect("a set has at least one way");
+        let victim = (way.last_use != 0).then_some((way.block, way.state));
+        *way = Line {
             block,
             state,
             last_use: t,
-        });
+        };
         victim
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
+        self.iter().count()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -165,7 +192,10 @@ impl Cache {
 
     /// Iterate over resident `(block, state)` pairs (test/diagnostic use).
     pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, LineState)> + '_ {
-        self.sets.iter().flatten().map(|l| (l.block, l.state))
+        self.lines
+            .iter()
+            .filter(|l| l.last_use != 0)
+            .map(|l| (l.block, l.state))
     }
 
     /// Block size this cache was built with.

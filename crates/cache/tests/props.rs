@@ -1,7 +1,7 @@
 //! Property tests for the cache hierarchy (deterministic cases via
 //! `ccsim_util::check`).
 
-use ccsim_cache::{Hierarchy, LineState, Probe};
+use ccsim_cache::{Cache, Hierarchy, LineState, Probe};
 use ccsim_types::{Addr, BlockAddr, CacheConfig, MachineConfig, ProtocolKind};
 use ccsim_util::check::{cases, Gen};
 
@@ -136,4 +136,129 @@ fn evictions_are_real() {
             assert_eq!(h.state(blk(b)), Some(st));
         }
     });
+}
+
+/// The cache as it stood before the ways moved into one slab: a vector per
+/// set, `swap_remove` on invalidation and eviction, the victim the resident
+/// line with the smallest tick.
+struct RefCache {
+    sets: Vec<Vec<(BlockAddr, LineState, u64)>>,
+    assoc: usize,
+    tick: u64,
+}
+
+impl RefCache {
+    fn new(cfg: &CacheConfig) -> Self {
+        RefCache {
+            sets: vec![Vec::new(); cfg.num_sets() as usize],
+            assoc: cfg.assoc as usize,
+            tick: 0,
+        }
+    }
+
+    fn set(&mut self, b: BlockAddr) -> &mut Vec<(BlockAddr, LineState, u64)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[((b.0 / 16) % n) as usize]
+    }
+
+    fn peek(&mut self, b: BlockAddr) -> Option<LineState> {
+        self.set(b).iter().find(|l| l.0 == b).map(|l| l.1)
+    }
+
+    fn touch(&mut self, b: BlockAddr) -> Option<LineState> {
+        self.tick += 1;
+        let t = self.tick;
+        self.set(b).iter_mut().find(|l| l.0 == b).map(|l| {
+            l.2 = t;
+            l.1
+        })
+    }
+
+    fn set_state(&mut self, b: BlockAddr, st: LineState) -> bool {
+        match self.set(b).iter_mut().find(|l| l.0 == b) {
+            Some(l) => {
+                l.1 = st;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn invalidate(&mut self, b: BlockAddr) -> Option<LineState> {
+        let set = self.set(b);
+        let i = set.iter().position(|l| l.0 == b)?;
+        Some(set.swap_remove(i).1)
+    }
+
+    fn insert(&mut self, b: BlockAddr, st: LineState) -> Option<(BlockAddr, LineState)> {
+        self.tick += 1;
+        let (t, assoc) = (self.tick, self.assoc);
+        let set = self.set(b);
+        if let Some(l) = set.iter_mut().find(|l| l.0 == b) {
+            *l = (b, st, t);
+            return None;
+        }
+        let victim = (set.len() == assoc).then(|| {
+            let (vi, _) = set.iter().enumerate().min_by_key(|(_, l)| l.2).unwrap();
+            let v = set.swap_remove(vi);
+            (v.0, v.1)
+        });
+        set.push((b, st, t));
+        victim
+    }
+
+    fn sorted(&self) -> Vec<(BlockAddr, LineState)> {
+        let mut v: Vec<_> = self.sets.iter().flatten().map(|l| (l.0, l.1)).collect();
+        v.sort();
+        v
+    }
+}
+
+const STATES: [LineState; 4] = [
+    LineState::Shared,
+    LineState::Excl,
+    LineState::ExclDirty,
+    LineState::Modified,
+];
+
+/// The slab cache returns what the per-set vectors returned, victims
+/// included, and holds the same lines, under random operation sequences on
+/// direct-mapped, 2-way, 4-way and fully associative geometries.
+#[test]
+fn slab_cache_matches_the_per_set_vectors() {
+    let mut evictions = 0;
+    for assoc in [1u32, 2, 4, 8] {
+        // Eight 16-byte blocks; assoc 8 is one fully associative set.
+        let cfg = CacheConfig {
+            size_bytes: 8 * 16,
+            assoc,
+            block_bytes: 16,
+            access_cycles: 1,
+        };
+        cases(128, |g| {
+            let mut c = Cache::new(&cfg);
+            let mut r = RefCache::new(&cfg);
+            for _ in 0..g.urange(1, 400) {
+                // Block 0 included: an empty way must never read as block 0.
+                let b = blk(g.below(24) as u8);
+                let st = *g.pick(&STATES);
+                match g.below(5) {
+                    0 => assert_eq!(c.peek(b), r.peek(b)),
+                    1 => assert_eq!(c.touch(b), r.touch(b)),
+                    2 => {
+                        let (got, want) = (c.insert(b, st), r.insert(b, st));
+                        evictions += u32::from(want.is_some());
+                        assert_eq!(got, want, "assoc {assoc}: victim");
+                    }
+                    3 => assert_eq!(c.set_state(b, st), r.set_state(b, st)),
+                    _ => assert_eq!(c.invalidate(b), r.invalidate(b)),
+                }
+                let mut got: Vec<_> = c.iter().collect();
+                got.sort();
+                assert_eq!(got, r.sorted(), "assoc {assoc}: residents");
+                assert_eq!(c.len(), got.len());
+            }
+        });
+    }
+    assert!(evictions > 0);
 }

@@ -5,7 +5,7 @@
 //! directory could see — and produce the denominators and numerators of
 //! Tables 2 and 3 plus the false-sharing classification of Table 4.
 
-use ccsim_types::{BlockAddr, NodeId};
+use ccsim_types::{BlockAddr, NodeId, MAX_NODES};
 use ccsim_util::{json_record, Slab};
 
 /// Which part of the workload issued an access — the paper's Table 2 splits
@@ -274,16 +274,6 @@ impl FalseSharingStats {
     }
 }
 
-#[derive(Clone, Debug, Default)]
-struct FsBlock {
-    /// Per node: words written by *other* nodes since this node lost its
-    /// copy (meaningless unless `lost_by_inval`).
-    foreign_writes: Vec<u64>,
-    /// Per node: the copy was taken away by an invalidation (as opposed to
-    /// replaced for capacity/conflict reasons, or never held).
-    lost_by_inval: Vec<bool>,
-}
-
 /// Word-granularity false-sharing classifier (Table 4).
 ///
 /// Approximation of Dubois et al.'s "useless misses": a miss caused by a
@@ -292,80 +282,102 @@ struct FsBlock {
 /// looks ahead to words touched during the new lifetime; the first-access
 /// approximation is standard in protocol studies and errs conservatively in
 /// the same direction for all three protocols.)
+///
+/// Runs on every store, so its state is two dense [`Slab`]s of plain words
+/// and a store to a block no node has lost costs one load. `foreign[n]` is
+/// cleared when bit `n` of `lost` is set and read only while it stays set,
+/// so a store need only reach the nodes that have lost the block.
 pub struct FalseSharing {
     nodes: usize,
     block_bytes: u64,
-    blocks: Slab<FsBlock>,
+    /// Per block: bit `n` is set iff node `n`'s copy was taken away by an
+    /// invalidation (as opposed to replaced for capacity/conflict reasons,
+    /// or never held).
+    lost: Slab<u64>,
+    /// Per block and node, at `block * nodes + n`: the words written by
+    /// other nodes since `n` lost its copy (meaningless unless `n` is set
+    /// in `lost`).
+    foreign: Slab<u64>,
     stats: FalseSharingStats,
+}
+
+/// `n`'s bit in a `lost` mask; zero for a node beyond [`MAX_NODES`], which
+/// `MachineConfig::validate` rules out.
+#[inline]
+fn node_bit(n: NodeId) -> u64 {
+    1u64.checked_shl(u32::from(n.0)).unwrap_or(0)
 }
 
 impl FalseSharing {
     pub fn new(nodes: u16, block_bytes: u64) -> Self {
         assert!(block_bytes.is_power_of_two() && block_bytes > 0);
+        assert!(nodes <= MAX_NODES, "the lost mask is a full map");
         FalseSharing {
             nodes: nodes as usize,
             block_bytes,
-            blocks: Slab::new(),
+            lost: Slab::new(),
+            foreign: Slab::new(),
             stats: FalseSharingStats::default(),
         }
     }
 
-    fn block(&mut self, b: BlockAddr) -> &mut FsBlock {
-        let n = self.nodes;
-        let e = self.blocks.entry((b.0 / self.block_bytes) as usize);
-        // A default-initialized slab entry has empty per-node vectors; size
-        // them on the block's first touch.
-        if e.foreign_writes.is_empty() {
-            e.foreign_writes = vec![0; n];
-            e.lost_by_inval = vec![false; n];
-        }
-        e
+    #[inline]
+    fn index(&self, b: BlockAddr) -> usize {
+        (b.0 / self.block_bytes) as usize
     }
 
     /// Every store (global or silent) by `writer` to `addr`.
-    // ccsim-lint: allow(panic-path): sharer-word indices are sized from the node count the oracle was built with
+    #[inline]
     pub fn on_store(&mut self, b: BlockAddr, addr: ccsim_types::Addr, writer: NodeId) {
+        let bi = self.index(b);
+        let mut pending = self.lost.load(bi) & !node_bit(writer);
+        if pending == 0 {
+            return;
+        }
         let mask = b.word_mask(addr, self.block_bytes);
-        let e = self.block(b);
-        for n in 0..e.foreign_writes.len() {
-            if n != writer.idx() {
-                e.foreign_writes[n] |= mask;
-            }
+        let row = bi * self.nodes;
+        while pending != 0 {
+            let n = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
+            *self.foreign.entry(row + n) |= mask;
         }
     }
 
     /// `node`'s cached copy was invalidated by the coherence protocol.
-    // ccsim-lint: allow(panic-path): sharer-word indices are sized from the node count the oracle was built with
     pub fn on_invalidated(&mut self, b: BlockAddr, node: NodeId) {
-        let e = self.block(b);
-        e.lost_by_inval[node.idx()] = true;
-        e.foreign_writes[node.idx()] = 0;
+        let bi = self.index(b);
+        *self.lost.entry(bi) |= node_bit(node);
+        *self.foreign.entry(bi * self.nodes + node.idx()) = 0;
     }
 
     /// `node` replaced its copy for capacity/conflict reasons.
-    // ccsim-lint: allow(panic-path): sharer-word indices are sized from the node count the oracle was built with
     pub fn on_replaced(&mut self, b: BlockAddr, node: NodeId) {
-        let e = self.block(b);
-        e.lost_by_inval[node.idx()] = false;
+        self.forget(self.index(b), node);
     }
 
     /// `node` missed globally on `addr`; classify the miss.
-    // ccsim-lint: allow(panic-path): sharer-word indices are sized from the node count the oracle was built with
     pub fn on_miss(&mut self, b: BlockAddr, addr: ccsim_types::Addr, node: NodeId) {
-        let mask = b.word_mask(addr, self.block_bytes);
-        let e = self.block(b);
-        if e.lost_by_inval[node.idx()] {
-            if e.foreign_writes[node.idx()] & mask != 0 {
+        let bi = self.index(b);
+        if self.lost.load(bi) & node_bit(node) != 0 {
+            let mask = b.word_mask(addr, self.block_bytes);
+            if self.foreign.load(bi * self.nodes + node.idx()) & mask != 0 {
                 self.stats.true_sharing += 1;
             } else {
                 self.stats.false_sharing += 1;
             }
+            self.forget(bi, node);
         } else {
             self.stats.cold_or_capacity += 1;
         }
-        let e = self.block(b);
-        e.lost_by_inval[node.idx()] = false;
-        e.foreign_writes[node.idx()] = 0;
+    }
+
+    /// Clear `node`'s lost bit for block `bi`, touching the slab only when
+    /// the bit was set.
+    fn forget(&mut self, bi: usize, node: NodeId) {
+        let bit = node_bit(node);
+        if self.lost.load(bi) & bit != 0 {
+            *self.lost.entry(bi) &= !bit;
+        }
     }
 
     pub fn stats(&self) -> &FalseSharingStats {
@@ -553,5 +565,111 @@ mod tests {
         f.on_miss(b, Addr(0), P0); // immediately again: cold/capacity bucket
         assert_eq!(f.stats().true_sharing, 1);
         assert_eq!(f.stats().cold_or_capacity, 2);
+    }
+
+    /// The per-block-vector tracker the gated one replaced: every store
+    /// ORs its word into every other node's record.
+    struct RefTracker {
+        nodes: usize,
+        block_bytes: u64,
+        /// Per block: (foreign writes, lost by invalidation), per node.
+        blocks: std::collections::HashMap<u64, (Vec<u64>, Vec<bool>)>,
+        stats: FalseSharingStats,
+    }
+
+    impl RefTracker {
+        fn block(&mut self, b: BlockAddr) -> &mut (Vec<u64>, Vec<bool>) {
+            let n = self.nodes;
+            self.blocks
+                .entry(b.0)
+                .or_insert_with(|| (vec![0; n], vec![false; n]))
+        }
+
+        fn on_store(&mut self, b: BlockAddr, addr: Addr, writer: NodeId) {
+            let mask = b.word_mask(addr, self.block_bytes);
+            let (foreign, _) = self.block(b);
+            for (n, f) in foreign.iter_mut().enumerate() {
+                if n != writer.idx() {
+                    *f |= mask;
+                }
+            }
+        }
+
+        fn on_invalidated(&mut self, b: BlockAddr, node: NodeId) {
+            let (foreign, lost) = self.block(b);
+            lost[node.idx()] = true;
+            foreign[node.idx()] = 0;
+        }
+
+        fn on_replaced(&mut self, b: BlockAddr, node: NodeId) {
+            self.block(b).1[node.idx()] = false;
+        }
+
+        fn on_miss(&mut self, b: BlockAddr, addr: Addr, node: NodeId) {
+            let mask = b.word_mask(addr, self.block_bytes);
+            let (foreign, lost) = self.block(b);
+            let class = if !lost[node.idx()] {
+                &mut self.stats.cold_or_capacity
+            } else if foreign[node.idx()] & mask != 0 {
+                &mut self.stats.true_sharing
+            } else {
+                &mut self.stats.false_sharing
+            };
+            *class += 1;
+            let (foreign, lost) = self.block(b);
+            lost[node.idx()] = false;
+            foreign[node.idx()] = 0;
+        }
+    }
+
+    /// The gated tracker classifies every miss exactly as the per-block
+    /// vectors did, under random event sequences over a few blocks.
+    #[test]
+    fn gated_tracker_matches_the_per_block_vectors() {
+        let mut seen = FalseSharingStats::default();
+        for nodes in [1u16, 4, 64] {
+            ccsim_util::check::cases(64, |g| {
+                let mut f = FalseSharing::new(nodes, 32);
+                let mut r = RefTracker {
+                    nodes: nodes as usize,
+                    block_bytes: 32,
+                    blocks: Default::default(),
+                    stats: FalseSharingStats::default(),
+                };
+                for _ in 0..g.urange(1, 400) {
+                    let addr = Addr(g.below(4 * 32) & !7);
+                    let b = addr.block(32);
+                    // Half the events come from the lowest and highest
+                    // node, so large machines still revisit a few nodes.
+                    let node = match g.below(4) {
+                        0 => NodeId(0),
+                        1 => NodeId(nodes - 1),
+                        _ => NodeId(g.below(u64::from(nodes)) as u16),
+                    };
+                    match g.below(4) {
+                        0 => {
+                            f.on_store(b, addr, node);
+                            r.on_store(b, addr, node);
+                        }
+                        1 => {
+                            f.on_invalidated(b, node);
+                            r.on_invalidated(b, node);
+                        }
+                        2 => {
+                            f.on_replaced(b, node);
+                            r.on_replaced(b, node);
+                        }
+                        _ => {
+                            f.on_miss(b, addr, node);
+                            r.on_miss(b, addr, node);
+                        }
+                    }
+                    assert_eq!(*f.stats(), r.stats, "{nodes} nodes");
+                }
+                seen.true_sharing += r.stats.true_sharing;
+                seen.false_sharing += r.stats.false_sharing;
+            });
+        }
+        assert!(seen.true_sharing > 0 && seen.false_sharing > 0, "{seen:?}");
     }
 }

@@ -524,10 +524,15 @@ impl FaultConfig {
     }
 }
 
+/// Largest machine the simulator models: directory sharer sets are a
+/// full map in one `u64`, one bit per node.
+pub const MAX_NODES: u16 = 64;
+
 /// Complete machine description.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MachineConfig {
-    /// Number of nodes (processor + cache hierarchy + memory + directory).
+    /// Number of nodes (processor + cache hierarchy + memory + directory),
+    /// at most [`MAX_NODES`].
     pub nodes: u16,
     pub l1: CacheConfig,
     pub l2: CacheConfig,
@@ -675,6 +680,12 @@ impl MachineConfig {
         if self.nodes == 0 {
             return Err("machine needs at least one node".into());
         }
+        if self.nodes > MAX_NODES {
+            return Err(format!(
+                "machine has {} nodes, but the full-map sharer set is {MAX_NODES} bits wide",
+                self.nodes
+            ));
+        }
         self.l1.validate()?;
         self.l2.validate()?;
         if self.l1.block_bytes != self.l2.block_bytes {
@@ -748,6 +759,14 @@ mod tests {
         assert_eq!(c.l1.assoc, 2);
         assert_eq!(c.l2.size_bytes, 512 * 1024);
         assert_eq!(c.block_bytes(), 32);
+    }
+
+    #[test]
+    fn node_count_is_bounded_by_the_full_map_width() {
+        let base = MachineConfig::splash_baseline(ProtocolKind::Ls);
+        base.with_nodes(MAX_NODES).validate().unwrap();
+        let err = base.with_nodes(MAX_NODES + 1).validate().unwrap_err();
+        assert!(err.contains("65 nodes") && err.contains("64 bits"), "{err}");
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub mod topology;
 
 pub use config::{
     AdConfig, CacheConfig, Consistency, FaultConfig, LatencyConfig, LsConfig, MachineConfig,
-    ProtocolConfig, ProtocolKind, RuleMutation, TransportMutation,
+    ProtocolConfig, ProtocolKind, RuleMutation, TransportMutation, MAX_NODES,
 };
 pub use ids::{Addr, BlockAddr, NodeId, WORD_BYTES};
 pub use msg::{MsgClass, MsgKind};

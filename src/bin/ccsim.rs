@@ -351,6 +351,10 @@ fn load_trace(cmd: &str, path: &str, o: &Opts, kind: ProtocolKind) -> (MachineCo
     if cfg.nodes < trace.procs() {
         cfg = cfg.with_nodes(trace.procs());
     }
+    if let Err(e) = cfg.validate() {
+        eprintln!("{cmd}: {path}: {e}");
+        exit(2);
+    }
     (cfg, trace)
 }
 

@@ -554,6 +554,24 @@ fn analyze_rejects_a_missing_trace_file() {
 }
 
 #[test]
+fn analyze_rejects_a_trace_wider_than_the_full_map() {
+    use ccsim::engine::{Trace, TraceEvent, TraceOp};
+    let dir = std::env::temp_dir().join(format!("ccsim-cli-wide-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("wide.trace");
+    let event = TraceEvent {
+        proc: 64,
+        op: TraceOp::Load(ccsim::types::Addr(0)),
+    };
+    let trace = Trace::from_events(65, vec![event]).expect("valid trace");
+    std::fs::write(&path, trace.to_bytes()).expect("write trace");
+    let (ok, _, stderr) = ccsim(&["analyze", "--trace", path.to_str().expect("utf-8")]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(!ok);
+    assert!(stderr.contains("65 nodes"), "{stderr}");
+}
+
+#[test]
 fn bad_arguments_fail_with_usage() {
     let (ok, _, stderr) = ccsim(&["run", "--workload", "nosuch"]);
     assert!(!ok);
