@@ -6,26 +6,38 @@
 //! concurrency — it only buys a futex round-trip on every handoff. At
 //! `schedule_quantum = 1` (the paper's configurations) the engine hands off
 //! after nearly every access, and those round-trips dominate wall-clock
-//! time. A fiber switch is two register saves and two loads (~50 ns on this
-//! class of hardware versus microseconds for a futex wake), which is where
-//! the engine's single-run speedup comes from.
+//! time. A fiber switch saves six callee-saved registers and a resume
+//! address on one stack and pops them off another. Measured on a 2-vCPU
+//! x86_64 host: two bare fibers ping-ponging cost about 41 ns per round
+//! trip (two switches), against microseconds for a futex wake; a change of
+//! runner in the engine (one schedule scan plus one switch) costs about
+//! 40 ns.
+//!
+//! The switch resumes with `pop rax; jmp rax`, not `ret`. A `ret` would
+//! return onto a different stack than its `call` came from, so the
+//! return-stack predictor would miss on every switch; with `ret` the same
+//! round trip cost about 70 ns.
+//!
+//! Fibers hand control straight to each other ([`switch_to`]); the thread
+//! that drives a [`FiberSet`] gets control back from
+//! [`FiberSet::resume`] only when a fiber finishes.
 //!
 //! Safety model: fibers never migrate between OS threads — a [`FiberSet`]
 //! is created, driven, and dropped on one thread, and the only entry points
-//! into fiber context are [`FiberSet::resume`] / [`yield_to_scheduler`].
-//! Panics inside a fiber are caught at the fiber trampoline and re-thrown
-//! on the scheduler's stack, so unwinding never crosses a context switch.
+//! into fiber context are [`FiberSet::resume`] / [`switch_to`]. Panics
+//! inside a fiber are caught at the fiber trampoline and re-thrown on the
+//! scheduler's stack, so unwinding never crosses a context switch.
 //!
-//! Only x86_64 has a switch implementation today; [`supported`] reports
-//! availability and the runner falls back to the OS-thread backend
-//! elsewhere.
+//! The switch follows the System V x86_64 calling convention, so
+//! [`supported`] holds only on x86_64 Unix targets; the runner falls back
+//! to the OS-thread backend elsewhere.
 
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 
 /// Is the fiber backend available on this target?
 pub const fn supported() -> bool {
-    cfg!(target_arch = "x86_64")
+    cfg!(all(target_arch = "x86_64", unix))
 }
 
 /// Default fiber stack size. Workload closures are ordinary Rust code
@@ -48,11 +60,13 @@ mod imp {
 
     /// Switch from the context `from` to the context `to`.
     ///
-    /// System V x86_64: push the callee-saved registers and a resume
-    /// address onto the current stack, publish the stack pointer through
-    /// `from`, adopt `to`'s stack pointer, pop its registers, and `ret`
-    /// into wherever it suspended. Every caller-saved register is declared
-    /// clobbered so the compiler spills anything live across the switch.
+    /// System V x86_64: push a resume address and the callee-saved
+    /// registers onto the current stack, publish the stack pointer through
+    /// `from`, adopt `to`'s stack pointer, pop its registers and its
+    /// resume address, and `jmp` there. Every caller-saved register is
+    /// declared clobbered so the compiler spills anything live across the
+    /// switch; `rdi`/`rsi` come back holding the other context's values,
+    /// so they are declared clobbered too.
     ///
     /// # Safety
     /// `from` must be writable; `to` must hold a stack pointer previously
@@ -76,10 +90,11 @@ mod imp {
             "pop r12",
             "pop rbx",
             "pop rbp",
-            "ret",
+            "pop rax",
+            "jmp rax",
             "2:",
-            in("rdi") from,
-            in("rsi") to,
+            inout("rdi") from => _,
+            inout("rsi") to => _,
             lateout("rax") _, lateout("rcx") _, lateout("rdx") _,
             lateout("r8") _, lateout("r9") _, lateout("r10") _, lateout("r11") _,
             out("xmm0") _, out("xmm1") _, out("xmm2") _, out("xmm3") _,
@@ -95,8 +110,9 @@ mod imp {
     ///
     /// Layout (top down): 16-byte alignment padding, then the frame
     /// `switch` pops — six zeroed callee-saved slots under the entry
-    /// address. After `switch` pops them and `ret`s into `entry`,
-    /// `rsp % 16 == 8`, exactly the System V state at a function entry.
+    /// address. After `switch` pops them and the entry address and jumps
+    /// into `entry`, `rsp % 16 == 8`, exactly the System V state at a
+    /// function entry.
     ///
     /// # Safety
     /// `stack` must outlive every switch into the returned context.
@@ -104,9 +120,9 @@ mod imp {
         let top = stack.as_mut_ptr().add(stack.len());
         let mut p = ((top as u64) & !15) as *mut u64;
         // One padding slot so the entry address sits at `16k+8`: after the
-        // six register pops and the `ret`, `rsp % 16 == 8` — the System V
-        // state at a function entry (as if reached by `call`). Without it,
-        // aligned SSE spills in the entry fault.
+        // six register pops and the entry-address pop, `rsp % 16 == 8` —
+        // the System V state at a function entry (as if reached by
+        // `call`). Without it, aligned SSE spills in the entry fault.
         p = p.sub(1);
         *p = 0;
         p = p.sub(1);
@@ -120,19 +136,20 @@ mod imp {
 }
 
 thread_local! {
-    /// The fiber currently executing on this thread (null in scheduler
-    /// context). A raw pointer is sound here because a fiber only runs
-    /// while its `FiberSet` is borrowed mutably by `resume`, which pins it.
-    static CURRENT: Cell<*mut FiberSlot> = const { Cell::new(std::ptr::null_mut()) };
+    /// The fiber set running on this thread (null in scheduler context). A
+    /// raw pointer is sound here because fibers only run while their
+    /// `FiberSet` is borrowed mutably by `resume`, which pins it. `resume`
+    /// saves and restores the previous value, so a set driven from inside
+    /// another set's fiber (a nested simulation) hands it back intact.
+    static CURRENT: Cell<*mut FiberSet> = const { Cell::new(std::ptr::null_mut()) };
 }
 
 struct FiberSlot {
     ctx: Context,
-    sched: Context,
     /// Owned stack memory; boxed slice so it never moves.
     #[allow(dead_code)]
     stack: Box<[u8]>,
-    /// Entry closure, consumed by the trampoline on first resume.
+    /// Entry closure, consumed by the trampoline on first switch in.
     entry: Option<Box<dyn FnOnce()>>,
     /// Panic payload captured at the trampoline, if the fiber panicked.
     panic: Option<Box<dyn std::any::Any + Send>>,
@@ -142,73 +159,88 @@ struct FiberSlot {
 /// First frame of every fiber: run the entry closure under `catch_unwind`,
 /// record the outcome, and switch back to the scheduler forever.
 extern "C" fn trampoline() -> ! {
-    let slot = CURRENT.with(|c| c.get());
-    // Safety: `resume` set CURRENT to a live, pinned FiberSlot just before
-    // switching here, and the scheduler thread cannot touch it again until
-    // we switch back.
+    let set = CURRENT.with(|c| c.get());
+    // Safety: whoever switched here (`resume` or `switch_to`) made this
+    // fiber the set's `current` on a live, pinned set, and nothing else on
+    // this thread touches the set until this fiber switches away.
     unsafe {
-        let slot = &mut *slot;
-        let entry = slot
+        let slot: *mut FiberSlot = &mut *(&mut (*set).slots)[(*set).current];
+        let entry = (*slot)
             .entry
             .take()
             // ccsim-lint: allow(unwrap): the trampoline runs exactly once per fiber
             .expect("fiber resumed after completion");
         let result = std::panic::catch_unwind(AssertUnwindSafe(entry));
         if let Err(payload) = result {
-            slot.panic = Some(payload);
+            (*slot).panic = Some(payload);
         }
-        slot.finished = true;
-        // A finished fiber parks here; the scheduler never resumes a fiber
-        // marked finished, so each switch is terminal in practice.
+        (*slot).finished = true;
+        // This fiber is still the set's `current` (a nested simulation
+        // inside `entry` has restored everything it changed), so `resume`
+        // reports it. A finished fiber parks here; nothing ever switches to
+        // a fiber marked finished, so each switch is terminal in practice.
         // ccsim-lint: allow(unbounded-retry): every iteration switches straight back to the scheduler
         loop {
-            imp::switch(&mut slot.ctx, &slot.sched);
+            imp::switch(&mut (*slot).ctx, &*(*set).sched);
         }
     }
 }
 
-/// Suspend the currently running fiber and return to the scheduler that
-/// resumed it. No-op outside fiber context (callers guard on backend kind).
-pub(crate) fn yield_to_scheduler() {
-    let slot = CURRENT.with(|c| c.get());
-    assert!(
-        !slot.is_null(),
-        "yield_to_scheduler called outside fiber context"
-    );
+/// Suspend the running fiber and run fiber `n` of the same set, from
+/// where it last switched away (or from its entry, if it never ran). This
+/// returns when some fiber, or `resume`, switches back to the caller.
+pub(crate) fn switch_to(n: usize) {
+    let set = CURRENT.with(|c| c.get());
+    assert!(!set.is_null(), "switch_to called outside fiber context");
     // Safety: same pinning argument as `trampoline`.
     unsafe {
-        let slot = &mut *slot;
-        imp::switch(&mut slot.ctx, &slot.sched);
+        let me = (*set).current;
+        if me == n {
+            return;
+        }
+        let slots = &mut (*set).slots;
+        let to = slots
+            .get(n)
+            .filter(|s| !s.finished)
+            .map(|s| &s.ctx as *const Context);
+        assert!(to.is_some(), "switched to a finished or unknown fiber");
+        if let (Some(to), Some(from)) = (to, slots.get_mut(me)) {
+            (*set).current = n;
+            imp::switch(&mut from.ctx, to);
+        }
     }
-}
-
-/// The outcome of resuming a fiber.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Resumed {
-    /// The fiber suspended via [`yield_to_scheduler`].
-    Yielded,
-    /// The fiber's entry closure returned or panicked; it will never run
-    /// again. Any panic payload is held for [`FiberSet::take_panic`].
-    Finished,
 }
 
 /// A set of cooperatively scheduled fibers, all pinned to the thread that
-/// created them.
+/// created them. Fibers hand control to each other with [`switch_to`];
+/// the thread that called [`FiberSet::resume`] gets control back only when
+/// a fiber finishes.
 pub(crate) struct FiberSet {
     // The Box is load-bearing, not an accident: raw pointers into a slot
-    // (CURRENT, the saved contexts) must survive `spawn` reallocating the
-    // Vec, so every slot needs its own stable heap address.
+    // (the saved contexts) must survive `spawn` reallocating the Vec, so
+    // every slot needs its own stable heap address.
     #[allow(clippy::vec_box)]
     slots: Vec<Box<FiberSlot>>,
+    /// The context `resume` suspends in, shared by every slot: a fiber
+    /// that finishes switches back to it. Boxed like the slots, so the
+    /// address fibers switch back through does not depend on where the
+    /// set itself lives.
+    sched: Box<Context>,
+    /// The fiber running now; inside `resume` it always names one.
+    current: usize,
 }
 
 impl FiberSet {
     pub(crate) fn new() -> Self {
         assert!(supported(), "fiber backend not available on this target");
-        FiberSet { slots: Vec::new() }
+        FiberSet {
+            slots: Vec::new(),
+            sched: Box::default(),
+            current: 0,
+        }
     }
 
-    /// Add a fiber that will run `entry` when first resumed.
+    /// Add a fiber that will run `entry` when first switched to.
     pub(crate) fn spawn(&mut self, stack_bytes: usize, entry: Box<dyn FnOnce()>) {
         let mut stack = vec![0u8; stack_bytes.max(16 * 1024)].into_boxed_slice();
         // Safety: the boxed stack lives in the slot alongside the context
@@ -216,7 +248,6 @@ impl FiberSet {
         let sp = unsafe { imp::init_stack(&mut stack, trampoline) };
         self.slots.push(Box::new(FiberSlot {
             ctx: Context { sp },
-            sched: Context::default(),
             stack,
             entry: Some(entry),
             panic: None,
@@ -228,23 +259,26 @@ impl FiberSet {
         self.slots.len()
     }
 
-    /// Run fiber `i` until it yields or finishes.
-    pub(crate) fn resume(&mut self, i: usize) -> Resumed {
-        let slot: &mut FiberSlot = &mut self.slots[i];
-        assert!(!slot.finished, "resumed a finished fiber");
-        let prev = CURRENT.with(|c| c.replace(&mut *slot));
-        // Safety: slot is boxed (stable address) and borrowed for the
-        // whole switch; the fiber runs on this same OS thread and switches
-        // back before `resume` returns.
+    /// Run fiber `i`, and whichever fibers it switches to, until one of
+    /// them finishes. Returns the index of the fiber that finished; it
+    /// never runs again, and any panic payload is held for
+    /// [`FiberSet::take_panic`].
+    pub(crate) fn resume(&mut self, i: usize) -> usize {
+        assert!(!self.slots[i].finished, "resumed a finished fiber");
+        self.current = i;
+        let set: *mut FiberSet = self;
+        let prev = CURRENT.with(|c| c.replace(set));
+        // Safety: the set is borrowed mutably for the whole run (so it
+        // cannot move), its slots and scheduler context are boxed, and the
+        // fibers run on this same OS thread and switch back to `sched`
+        // before `resume` continues. Fibers reach the set only through
+        // `set`, never through `self`.
         unsafe {
-            imp::switch(&mut slot.sched, &slot.ctx);
+            let sched: *mut Context = &mut *(*set).sched;
+            imp::switch(sched, &(&(*set).slots)[i].ctx);
         }
         CURRENT.with(|c| c.set(prev));
-        if slot.finished {
-            Resumed::Finished
-        } else {
-            Resumed::Yielded
-        }
+        self.current
     }
 
     /// Take fiber `i`'s panic payload, if it panicked.
@@ -260,7 +294,7 @@ mod tests {
     use std::rc::Rc;
 
     #[test]
-    fn fibers_interleave_in_resume_order() {
+    fn fibers_interleave_in_switch_order() {
         let log = Rc::new(RefCell::new(Vec::new()));
         let mut set = FiberSet::new();
         for id in 0..3u32 {
@@ -268,34 +302,58 @@ mod tests {
             set.spawn(
                 64 * 1024,
                 Box::new(move || {
+                    // Round-robin by direct switches: no fiber returns to
+                    // the scheduler until it finishes.
                     for step in 0..3u32 {
                         log.borrow_mut().push(id * 10 + step);
-                        yield_to_scheduler();
+                        switch_to(((id + 1) % 3) as usize);
                     }
                 }),
             );
         }
-        // Round-robin until done.
-        let mut live = vec![true; set.len()];
-        while live.iter().any(|&a| a) {
-            for (i, alive) in live.iter_mut().enumerate() {
-                if *alive && set.resume(i) == Resumed::Finished {
-                    *alive = false;
-                }
-            }
-        }
-        assert_eq!(
-            *log.borrow(),
-            vec![0, 10, 20, 1, 11, 21, 2, 12, 22],
-            "scheduler order, not spawn completion order"
+        // Fiber 0 takes its last step, switches round the ring once more
+        // and is the first to fall off the end of its loop.
+        assert_eq!(set.resume(0), 0, "resume reports the fiber that finished");
+        assert_eq!(*log.borrow(), vec![0, 10, 20, 1, 11, 21, 2, 12, 22]);
+        // The others are parked in their last `switch_to`; each finishes
+        // as soon as it runs again, without touching the log.
+        assert_eq!(set.resume(2), 2);
+        assert_eq!(set.resume(1), 1);
+        assert_eq!(log.borrow().len(), 9);
+    }
+
+    #[test]
+    fn resume_returns_only_when_some_fiber_finishes() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut set = FiberSet::new();
+        let (l0, l1) = (Rc::clone(&log), Rc::clone(&log));
+        set.spawn(
+            64 * 1024,
+            Box::new(move || {
+                l0.borrow_mut().push("0 starts");
+                switch_to(1);
+                l0.borrow_mut().push("0 ends");
+            }),
         );
+        set.spawn(
+            64 * 1024,
+            Box::new(move || {
+                l1.borrow_mut().push("1 runs");
+            }),
+        );
+        // Resuming 0 runs 1, which finishes first: that is what resume
+        // reports, with fiber 0 still suspended.
+        assert_eq!(set.resume(0), 1);
+        assert_eq!(*log.borrow(), vec!["0 starts", "1 runs"]);
+        assert_eq!(set.resume(0), 0);
+        assert_eq!(*log.borrow(), vec!["0 starts", "1 runs", "0 ends"]);
     }
 
     #[test]
     fn finished_fiber_reports_finished() {
         let mut set = FiberSet::new();
         set.spawn(64 * 1024, Box::new(|| {}));
-        assert_eq!(set.resume(0), Resumed::Finished);
+        assert_eq!(set.resume(0), 0);
         assert!(set.take_panic(0).is_none());
     }
 
@@ -305,18 +363,21 @@ mod tests {
         set.spawn(
             64 * 1024,
             Box::new(|| {
-                yield_to_scheduler();
+                switch_to(1);
                 panic!("inside fiber");
             }),
         );
-        assert_eq!(set.resume(0), Resumed::Yielded);
-        assert_eq!(set.resume(0), Resumed::Finished);
+        set.spawn(64 * 1024, Box::new(|| switch_to(0)));
+        // Fiber 0 panics while fiber 1 is switched away.
+        assert_eq!(set.resume(0), 0);
         let payload = set.take_panic(0).expect("payload captured");
         let msg = payload
             .downcast_ref::<&'static str>()
             .copied()
             .unwrap_or("?");
         assert_eq!(msg, "inside fiber");
+        assert_eq!(set.resume(1), 1, "the sibling still runs to completion");
+        assert!(set.take_panic(1).is_none());
     }
 
     #[test]
@@ -337,6 +398,6 @@ mod tests {
                 assert_eq!(burn(1000), 500_500);
             }),
         );
-        assert_eq!(set.resume(0), Resumed::Finished);
+        assert_eq!(set.resume(0), 0);
     }
 }

@@ -2,22 +2,30 @@
 //!
 //! Each simulated processor runs a real Rust closure. Every memory
 //! operation traps into the engine, and the engine admits exactly one
-//! processor at a time, chosen purely from simulated state: the
-//! lowest-numbered active processor whose clock lies in the current
-//! scheduling window (`schedule_quantum` cycles wide; width 1 ⇒ strict
-//! lowest-clock-first order). Host scheduling therefore cannot influence
-//! results — runs are bit-for-bit reproducible.
+//! processor at a time, chosen purely from simulated state: the active
+//! processor with the least `(clock / schedule_quantum, id)` — the
+//! lowest-numbered one in the earliest `schedule_quantum`-cycle window
+//! (width 1 ⇒ strict lowest-clock-first order). Host scheduling therefore
+//! cannot influence results — runs are bit-for-bit reproducible.
+//!
+//! Only the runner's clock moves while it holds the turn, so the choice is
+//! cached ([`Inner::runner`]): one scan finds the runner and the clock at
+//! which its key would pass the second-least key, and until its clock
+//! reaches that threshold the runner keeps the turn on a single compare.
+//! Retiring a processor invalidates the cache.
 //!
 //! Two interchangeable backends drive that schedule (see [`EngineKind`]):
 //!
 //! * **Fiber** (default where available): every processor is a stackful
-//!   fiber on one OS thread; a handoff is a ~50 ns user-space context
-//!   switch. See [`crate::fiber`].
+//!   fiber on one OS thread. A change of runner is one user-space context
+//!   switch straight from the old runner's fiber to the new one's (about
+//!   40 ns with the scan); the scheduler loop runs only when a fiber
+//!   finishes. See [`crate::fiber`].
 //! * **Threads**: every processor is an OS thread serialized under one
 //!   lock; a handoff is a condvar round-trip. Portable fallback, and the
 //!   reference the fiber backend is tested against — both consult the same
-//!   [`Inner::next_runner`] on the same state, so they retire the same ops
-//!   in the same order and produce bit-identical results.
+//!   [`Inner::runner`] on the same state, so they retire the same ops in
+//!   the same order and produce bit-identical results.
 //!
 //! Synchronization in workloads (spinlocks, barriers — see `ccsim-sync`) is
 //! built from the atomic read-modify-write operations below, which execute
@@ -33,7 +41,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use ccsim_mem::Allocator;
 use ccsim_types::{Addr, MachineConfig, NodeId};
 
-use crate::fiber::{self, FiberSet, Resumed};
+use crate::fiber::{self, FiberSet};
 use crate::invariants::{InvariantMode, InvariantReport};
 use crate::machine::{Machine, StallKind};
 use crate::oracle::Component;
@@ -109,22 +117,63 @@ struct Inner {
     recent: VecDeque<(u16, TraceOp, u64)>,
     /// Captured access stream (None = capture disabled).
     trace: Option<Vec<TraceEvent>>,
+    /// Cached schedule: the processor holding the turn…
+    runner: usize,
+    /// …and the clock below which it keeps it (0 = rescan).
+    until: u64,
 }
 
 impl Inner {
-    /// The unique processor allowed to execute next: the lowest-numbered
-    /// active processor inside the current scheduling window.
-    // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
-    fn next_runner(&self) -> Option<usize> {
-        let min = self
+    /// The unique processor allowed to execute next: the active processor
+    /// with the least `(clock / quantum, id)`. A single compare while the
+    /// cached runner's clock stays below its threshold; a rescan otherwise.
+    fn runner(&mut self) -> Option<usize> {
+        if self
             .clocks
-            .iter()
-            .zip(&self.active)
-            .filter(|(_, &a)| a)
-            .map(|(&c, _)| c)
-            .min()?;
-        let window_end = (min / self.quantum) * self.quantum + self.quantum;
-        (0..self.clocks.len()).find(|&q| self.active[q] && self.clocks[q] < window_end)
+            .get(self.runner)
+            .is_some_and(|&c| c < self.until)
+        {
+            return Some(self.runner);
+        }
+        self.reschedule()
+    }
+
+    /// One scan for the least and second-least keys. Only the runner's
+    /// clock moves until the next rescan, and its key stays the least
+    /// while its window is below the second key's window `w`, or equal to
+    /// it with the lower id: so it keeps the turn below `w*q + q` if it
+    /// outranks the second processor by id, and below `w*q` otherwise.
+    fn reschedule(&mut self) -> Option<usize> {
+        let q = self.quantum;
+        let mut least: Option<(u64, usize)> = None;
+        let mut second: Option<(u64, usize)> = None;
+        let actives = self.clocks.iter().zip(&self.active).enumerate();
+        for (id, (&clock, _)) in actives.filter(|(_, (_, &a))| a) {
+            let key = (clock / q, id);
+            if least.is_none_or(|l| key < l) {
+                second = least;
+                least = Some(key);
+            } else if second.is_none_or(|s| key < s) {
+                second = Some(key);
+            }
+        }
+        let (_, runner) = least?;
+        self.runner = runner;
+        self.until = match second {
+            Some((w, o)) if runner < o => (w * q).saturating_add(q),
+            Some((w, _)) => w * q,
+            None => u64::MAX,
+        };
+        Some(runner)
+    }
+
+    /// Take processor `p` off the schedule: its program returned or
+    /// panicked. The cached runner may be `p` itself, so rescan.
+    fn retire(&mut self, p: usize) {
+        if let Some(a) = self.active.get_mut(p) {
+            *a = false;
+        }
+        self.until = 0;
     }
 
     // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
@@ -214,8 +263,8 @@ impl Shared {
     }
 
     // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
-    fn wake_next(&self, g: &Inner, me: usize) {
-        if let Some(next) = g.next_runner() {
+    fn wake_next(&self, g: &mut Inner, me: usize) {
+        if let Some(next) = g.runner() {
             if next != me {
                 self.cvs[next].notify_one();
             }
@@ -257,7 +306,7 @@ impl Proc {
         match &self.backend {
             Backend::Threads(shared) => {
                 let mut g = shared.lock();
-                while g.next_runner() != Some(me) {
+                while g.runner() != Some(me) {
                     debug_assert!(g.active[me], "inactive processor issued an operation");
                     g = shared.cvs[me].wait(g).unwrap_or_else(|e| e.into_inner());
                 }
@@ -268,32 +317,37 @@ impl Proc {
                     self.id,
                     g.max_cycles
                 );
-                shared.wake_next(&g, me);
+                shared.wake_next(&mut g, me);
                 r
             }
-            // Yields until next_runner picks this processor; the cycle-limit
-            // assert below convicts any livelock.
+            // Hands the turn to the runner until it comes back to this
+            // processor; the cycle-limit assert below convicts any livelock.
             // ccsim-lint: allow(unbounded-retry): bounded by simulation progress via the cycle limit
             Backend::Fiber => loop {
                 let p = FIBER_INNER.with(|c| c.get());
                 assert!(!p.is_null(), "fiber Proc used outside its simulation");
                 // Safety: `run_fiber` keeps `Inner` alive on its stack for
                 // the whole run and only one fiber executes at a time on
-                // this thread, so this is the only live reference.
+                // this thread, so this is the only live reference. It is
+                // not held across the switch: other fibers mutate `Inner`.
                 let g = unsafe { &mut *p };
-                if g.next_runner() != Some(me) {
-                    debug_assert!(g.active[me], "inactive processor issued an operation");
-                    fiber::yield_to_scheduler();
-                    continue;
+                match g.runner() {
+                    Some(next) if next == me => {
+                        let r = f(g);
+                        assert!(
+                            g.clocks[me] <= g.max_cycles,
+                            "{} exceeded the simulation cycle limit ({}) — livelocked workload?",
+                            self.id,
+                            g.max_cycles
+                        );
+                        return r;
+                    }
+                    Some(next) => {
+                        debug_assert!(g.active[me], "inactive processor issued an operation");
+                        fiber::switch_to(next);
+                    }
+                    None => unreachable!("{} is active, so some processor holds the turn", self.id),
                 }
-                let r = f(g);
-                assert!(
-                    g.clocks[me] <= g.max_cycles,
-                    "{} exceeded the simulation cycle limit ({}) — livelocked workload?",
-                    self.id,
-                    g.max_cycles
-                );
-                return r;
             },
         }
     }
@@ -622,6 +676,8 @@ impl SimBuilder {
             watchdog: self.watchdog,
             recent: VecDeque::with_capacity(RECENT_WINDOW),
             trace: if self.capture { Some(Vec::new()) } else { None },
+            runner: 0,
+            until: 0,
         };
         match self.engine {
             EngineKind::Fiber => run_fiber(inner, self.programs, cfg, self.halt),
@@ -631,7 +687,8 @@ impl SimBuilder {
 }
 
 /// Drive the simulation on the fiber backend: all processors are stackful
-/// fibers on this thread, resumed in `next_runner` order.
+/// fibers on this thread. They hand the turn to each other directly; this
+/// loop only retires a fiber that finished and resumes the next runner.
 #[allow(clippy::type_complexity)]
 fn run_fiber(
     mut inner: Inner,
@@ -653,19 +710,17 @@ fn run_fiber(
     }
     let mut panics: Vec<Option<Box<dyn std::any::Any + Send>>> = Vec::new();
     panics.resize_with(num, || None);
-    while let Some(next) = inner.next_runner() {
-        debug_assert!(next < fibers.len(), "next_runner beyond spawned programs");
+    while let Some(next) = inner.runner() {
+        debug_assert!(next < fibers.len(), "runner beyond spawned programs");
         // Re-publish before every resume so nested simulations restore the
         // outer pointer when they finish.
         let prev = FIBER_INNER.with(|c| c.replace(&mut inner));
-        let resumed = fibers.resume(next);
+        let done = fibers.resume(next);
         FIBER_INNER.with(|c| c.set(prev));
-        if resumed == Resumed::Finished {
-            // Retire this processor — even on panic — so siblings can
-            // finish or fail fast, exactly like the thread backend.
-            inner.active[next] = false;
-            panics[next] = fibers.take_panic(next);
-        }
+        // Retire the fiber that finished — even on panic — so siblings
+        // can finish or fail fast, exactly like the thread backend.
+        inner.retire(done);
+        panics[done] = fibers.take_panic(done);
     }
     if let Some(payload) = panics.into_iter().flatten().next() {
         resume_unwind(payload);
@@ -708,8 +763,8 @@ fn run_threads(
                     // panic, so sibling threads can finish or fail fast.
                     {
                         let g = &mut *shared.lock();
-                        g.active[i] = false;
-                        if let Some(next) = g.next_runner() {
+                        g.retire(i);
+                        if let Some(next) = g.runner() {
                             shared.cvs[next].notify_one();
                         }
                     }
@@ -1055,6 +1110,8 @@ mod tests {
             watchdog: 10,
             recent: VecDeque::with_capacity(RECENT_WINDOW),
             trace: None,
+            runner: 0,
+            until: 0,
         };
         for i in 0..40u64 {
             let p = (i % 3) as u16;
@@ -1062,6 +1119,47 @@ mod tests {
             inner.record(p, TraceOp::Load(Addr(0x1000 + i * 8)));
         }
         inner
+    }
+
+    /// The least `(clock / quantum, id)` among active processors, by a
+    /// brute-force scan.
+    fn least_key(inner: &Inner) -> Option<usize> {
+        (0..inner.clocks.len())
+            .filter(|&p| inner.active[p])
+            .min_by_key(|&p| (inner.clocks[p] / inner.quantum, p))
+    }
+
+    #[test]
+    fn cached_turn_threshold_matches_a_full_scan() {
+        let mut rng = ccsim_util::Xoshiro256pp::seed_from_u64(5);
+        let mut inner = scripted_inner();
+        for _ in 0..2000 {
+            inner.quantum = [1, 3, 64][rng.below(3) as usize];
+            for p in 0..4 {
+                inner.clocks[p] = rng.below(300);
+                inner.active[p] = rng.below(4) != 0;
+            }
+            inner.until = 0;
+            let runner = inner.runner();
+            assert_eq!(runner, least_key(&inner));
+            let Some(r) = runner else { continue };
+            let until = inner.until;
+            assert!(inner.clocks[r] < until);
+            if until < u64::MAX {
+                // The runner keeps the turn on the cached compare right up
+                // to the threshold, and loses it exactly there.
+                inner.clocks[r] = until - 1;
+                assert_eq!(least_key(&inner), Some(r));
+                assert_eq!(inner.runner(), Some(r));
+                inner.clocks[r] = until;
+                assert_ne!(least_key(&inner), Some(r));
+                assert_eq!(inner.runner(), least_key(&inner));
+            }
+            // Retiring the cached runner hands the turn on.
+            let r = inner.runner().expect("an active processor");
+            inner.retire(r);
+            assert_eq!(inner.runner(), least_key(&inner));
+        }
     }
 
     #[test]
