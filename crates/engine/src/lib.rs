@@ -17,10 +17,14 @@
 //! * [`oracle`] — ground-truth classifiers that run alongside the protocol:
 //!   load-store-sequence and migratory-sharing detection (Tables 2 & 3) and
 //!   word-granular false-sharing classification (Table 4).
-//! * [`run`] — the deterministic threaded runner: each simulated processor
-//!   executes a real Rust closure whose every memory access traps into the
-//!   engine; processors interleave in simulated-time order (conservative
-//!   time-sliced execution), so results are bit-for-bit reproducible.
+//! * [`run`] — the deterministic runner: each simulated processor executes
+//!   a real Rust closure (a fiber, or an OS thread on the thread backend)
+//!   whose every memory access traps into the engine; processors interleave
+//!   in simulated-time order (conservative time-sliced execution), so
+//!   results are bit-for-bit reproducible.
+//! * [`trace`] — trace capture and replay. Live runs and replay commit every
+//!   operation through the same step, so a same-configuration replay
+//!   reproduces the live run exactly.
 //! * [`stats::RunStats`] — everything a figure or table needs: execution
 //!   time split (busy / read stall / write stall), traffic by class, global
 //!   read misses by home state, ownership statistics, oracle counters.

@@ -8,6 +8,10 @@
 //! (width 1 ⇒ strict lowest-clock-first order). Host scheduling therefore
 //! cannot influence results — runs are bit-for-bit reproducible.
 //!
+//! The admitted processor commits its operation through `Commit::apply`
+//! (`crate::trace`), the same step trace replay takes, so a replay of the
+//! captured stream under the same configuration reproduces the run.
+//!
 //! Only the runner's clock moves while it holds the turn, so the choice is
 //! cached ([`Inner::runner`]): one scan finds the runner and the clock at
 //! which its key would pass the second-least key, and until its clock
@@ -43,10 +47,10 @@ use ccsim_types::{Addr, MachineConfig, NodeId};
 
 use crate::fiber::{self, FiberSet};
 use crate::invariants::{InvariantMode, InvariantReport};
-use crate::machine::{Machine, StallKind};
+use crate::machine::Machine;
 use crate::oracle::Component;
-use crate::stats::{ProcTimes, RunStats};
-use crate::trace::{Trace, TraceEvent, TraceOp};
+use crate::stats::RunStats;
+use crate::trace::{Commit, Trace, TraceEvent, TraceOp};
 
 /// Default forward-progress watchdog: abort if one memory access spends
 /// more than this many simulated cycles before retiring. Generous enough
@@ -103,11 +107,9 @@ fn stack_bytes_from_env() -> usize {
 }
 
 struct Inner {
-    machine: Machine,
-    clocks: Vec<u64>,
-    times: Vec<ProcTimes>,
+    /// The commit state every op advances, the same one trace replay uses.
+    c: Commit,
     active: Vec<bool>,
-    comp: Vec<Component>,
     quantum: u64,
     max_cycles: u64,
     /// Forward-progress watchdog threshold (cycles per single access).
@@ -129,6 +131,7 @@ impl Inner {
     /// cached runner's clock stays below its threshold; a rescan otherwise.
     fn runner(&mut self) -> Option<usize> {
         if self
+            .c
             .clocks
             .get(self.runner)
             .is_some_and(|&c| c < self.until)
@@ -147,7 +150,7 @@ impl Inner {
         let q = self.quantum;
         let mut least: Option<(u64, usize)> = None;
         let mut second: Option<(u64, usize)> = None;
-        let actives = self.clocks.iter().zip(&self.active).enumerate();
+        let actives = self.c.clocks.iter().zip(&self.active).enumerate();
         for (id, (&clock, _)) in actives.filter(|(_, (_, &a))| a) {
             let key = (clock / q, id);
             if least.is_none_or(|l| key < l) {
@@ -182,15 +185,19 @@ impl Inner {
             self.recent.pop_front();
         }
         self.recent
-            .push_back((proc, op, self.clocks[proc as usize]));
+            .push_back((proc, op, self.c.clocks[proc as usize]));
         if let Some(t) = &mut self.trace {
             t.push(TraceEvent { proc, op });
         }
     }
 
-    // ccsim-lint: allow(panic-path): proc ids come from the spawn loop and the stall-kind panic is unreachable by construction
-    fn attribute(&mut self, p: usize, t0: u64, t1: u64, stall: StallKind) {
-        let dt = t1 - t0;
+    /// Commit one op of processor `p`, which holds the turn: record it,
+    /// apply it, then hold the access to the watchdog and the processor to
+    /// the cycle limit. Returns the loaded value.
+    // ccsim-lint: allow(panic-path): the watchdog panic is the deliberate diagnostic for a livelocked access; proc ids come from the spawn loop
+    fn step(&mut self, p: usize, op: TraceOp) -> u64 {
+        self.record(p as u16, op);
+        let (v, dt) = self.c.apply(p, op);
         if dt > self.watchdog {
             panic!(
                 "forward-progress watchdog: P{p} access took {dt} cycles \
@@ -199,11 +206,13 @@ impl Inner {
                 self.watchdog_report()
             );
         }
-        match stall {
-            StallKind::None => self.times[p].busy += dt,
-            StallKind::Read => self.times[p].read_stall += dt,
-            StallKind::Write => self.times[p].write_stall += dt,
-        }
+        assert!(
+            self.c.clocks[p] <= self.max_cycles,
+            "{} exceeded the simulation cycle limit ({}) — livelocked workload?",
+            NodeId(p as u16),
+            self.max_cycles
+        );
+        v
     }
 
     /// The watchdog's diagnostic dump: per-node clocks with the age of each
@@ -215,7 +224,7 @@ impl Inner {
         use std::fmt::Write as _;
         let mut out = String::new();
         out.push_str("per-node state:\n");
-        for (q, &clock) in self.clocks.iter().enumerate() {
+        for (q, &clock) in self.c.clocks.iter().enumerate() {
             let last = self.recent.iter().rev().find(|(r, ..)| *r as usize == q);
             let _ = write!(out, "  P{q}: clock {clock}");
             match last {
@@ -224,14 +233,14 @@ impl Inner {
                 }
                 None => out.push_str(", no recent access"),
             }
-            let ni = self.machine.ni_free_at(NodeId(q as u16));
+            let ni = self.c.machine.ni_free_at(NodeId(q as u16));
             let _ = writeln!(
                 out,
                 ", NI free @{ni}{}",
                 if self.active[q] { "" } else { " [retired]" }
             );
         }
-        let flows = self.machine.transport_flows();
+        let flows = self.c.machine.transport_flows();
         if !flows.is_empty() {
             out.push_str("transport flows (src->dst: sent/delivered, reorder depth):\n");
             for (src, dst, sent, delivered, depth) in flows {
@@ -311,17 +320,12 @@ impl Proc {
                     g = shared.cvs[me].wait(g).unwrap_or_else(|e| e.into_inner());
                 }
                 let r = f(&mut g);
-                assert!(
-                    g.clocks[me] <= g.max_cycles,
-                    "{} exceeded the simulation cycle limit ({}) — livelocked workload?",
-                    self.id,
-                    g.max_cycles
-                );
                 shared.wake_next(&mut g, me);
                 r
             }
             // Hands the turn to the runner until it comes back to this
-            // processor; the cycle-limit assert below convicts any livelock.
+            // processor; the cycle limit in `Inner::step` convicts any
+            // livelock.
             // ccsim-lint: allow(unbounded-retry): bounded by simulation progress via the cycle limit
             Backend::Fiber => loop {
                 let p = FIBER_INNER.with(|c| c.get());
@@ -332,16 +336,7 @@ impl Proc {
                 // not held across the switch: other fibers mutate `Inner`.
                 let g = unsafe { &mut *p };
                 match g.runner() {
-                    Some(next) if next == me => {
-                        let r = f(g);
-                        assert!(
-                            g.clocks[me] <= g.max_cycles,
-                            "{} exceeded the simulation cycle limit ({}) — livelocked workload?",
-                            self.id,
-                            g.max_cycles
-                        );
-                        return r;
-                    }
+                    Some(next) if next == me => return f(g),
                     Some(next) => {
                         debug_assert!(g.active[me], "inactive processor issued an operation");
                         fiber::switch_to(next);
@@ -375,62 +370,57 @@ impl Proc {
         self.halt.load(Ordering::SeqCst)
     }
 
-    /// Spend `cycles` of pure compute time.
-    // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
-    pub fn busy(&self, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
+    /// Commit one op of this processor on its simulated turn.
+    fn op(&self, op: TraceOp) -> u64 {
+        let me = self.id.idx();
+        self.turn(|g| g.step(me, op))
+    }
+
+    /// `first` (a load), then a store of `f`'s result to `addr` if it
+    /// returns `Some`, in one turn: no other processor's access between.
+    fn load_then_store(
+        &self,
+        first: TraceOp,
+        addr: Addr,
+        f: impl FnOnce(u64) -> Option<u64>,
+    ) -> u64 {
         let me = self.id.idx();
         self.turn(|g| {
-            g.record(me as u16, TraceOp::Busy(cycles));
-            g.clocks[me] += cycles;
-            g.times[me].busy += cycles;
-        });
+            let v = g.step(me, first);
+            if let Some(new) = f(v) {
+                g.step(me, TraceOp::Store(addr, new));
+            }
+            v
+        })
+    }
+
+    /// Spend `cycles` of pure compute time.
+    pub fn busy(&self, cycles: u64) {
+        if cycles > 0 {
+            self.op(TraceOp::Busy(cycles));
+        }
     }
 
     /// Attribute subsequent accesses to a workload component (Table 2's
     /// application / library / OS split).
     pub fn set_component(&self, c: Component) {
-        let me = self.id.idx();
-        self.turn(|g| {
-            g.record(me as u16, TraceOp::SetComponent(c));
-            g.comp[me] = c;
-        });
+        self.op(TraceOp::SetComponent(c));
     }
 
     /// Current simulated time of this processor.
     pub fn now(&self) -> u64 {
         let me = self.id.idx();
-        self.turn(|g| g.clocks[me])
+        self.turn(|g| g.c.clocks[me])
     }
 
     /// Load the word at `addr`.
-    // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
     pub fn load(&self, addr: Addr) -> u64 {
-        let me = self.id.idx();
-        self.turn(|g| {
-            g.record(me as u16, TraceOp::Load(addr));
-            let t0 = g.clocks[me];
-            let (v, t1, stall) = g.machine.load(NodeId(me as u16), addr, t0);
-            g.attribute(me, t0, t1, stall);
-            g.clocks[me] = t1;
-            v
-        })
+        self.op(TraceOp::Load(addr))
     }
 
     /// Store `value` to the word at `addr`.
-    // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
     pub fn store(&self, addr: Addr, value: u64) {
-        let me = self.id.idx();
-        self.turn(|g| {
-            g.record(me as u16, TraceOp::Store(addr, value));
-            let t0 = g.clocks[me];
-            let comp = g.comp[me];
-            let (t1, stall) = g.machine.write(NodeId(me as u16), addr, value, t0, comp);
-            g.attribute(me, t0, t1, stall);
-            g.clocks[me] = t1;
-        });
+        self.op(TraceOp::Store(addr, value));
     }
 
     /// Load with a static *load-exclusive* hint: the compiler (here: the
@@ -439,40 +429,15 @@ impl Proc {
     /// instruction-centric technique). Works under every protocol,
     /// including Baseline — that combination is the "static" comparison
     /// point for LS.
-    // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
     pub fn load_exclusive(&self, addr: Addr) -> u64 {
-        let me = self.id.idx();
-        self.turn(|g| {
-            g.record(me as u16, TraceOp::LoadExclusive(addr));
-            let t0 = g.clocks[me];
-            let (v, t1, stall) = g.machine.load_exclusive(NodeId(me as u16), addr, t0);
-            g.attribute(me, t0, t1, stall);
-            g.clocks[me] = t1;
-            v
-        })
+        self.op(TraceOp::LoadExclusive(addr))
     }
 
     /// Atomic read-modify-write whose load carries the static
     /// load-exclusive hint (a compiler-transformed `A = A + 1`). The store
     /// half always completes silently on the exclusive copy.
     pub fn rmw_hinted(&self, addr: Addr, f: impl FnOnce(u64) -> Option<u64>) -> u64 {
-        let me = self.id.idx();
-        self.turn(|g| {
-            g.record(me as u16, TraceOp::LoadExclusive(addr));
-            let t0 = g.clocks[me];
-            let (v, t1, stall) = g.machine.load_exclusive(NodeId(me as u16), addr, t0);
-            g.attribute(me, t0, t1, stall);
-            let mut t = t1;
-            if let Some(new) = f(v) {
-                g.record(me as u16, TraceOp::Store(addr, new));
-                let comp = g.comp[me];
-                let (t2, stall2) = g.machine.write(NodeId(me as u16), addr, new, t1, comp);
-                g.attribute(me, t1, t2, stall2);
-                t = t2;
-            }
-            g.clocks[me] = t;
-            v
-        })
+        self.load_then_store(TraceOp::LoadExclusive(addr), addr, f)
     }
 
     /// Atomic fetch-add with the static load-exclusive hint.
@@ -483,25 +448,8 @@ impl Proc {
     /// Atomic read-modify-write: load, apply `f`, store if `f` returns
     /// `Some`. The two halves execute with no intervening access from any
     /// other processor. Returns the loaded (old) value.
-    // ccsim-lint: allow(panic-path): per-proc slots are indexed by ids the spawn loop itself assigned, always in range
     pub fn rmw(&self, addr: Addr, f: impl FnOnce(u64) -> Option<u64>) -> u64 {
-        let me = self.id.idx();
-        self.turn(|g| {
-            g.record(me as u16, TraceOp::Load(addr));
-            let t0 = g.clocks[me];
-            let (v, t1, stall) = g.machine.load(NodeId(me as u16), addr, t0);
-            g.attribute(me, t0, t1, stall);
-            let mut t = t1;
-            if let Some(new) = f(v) {
-                g.record(me as u16, TraceOp::Store(addr, new));
-                let comp = g.comp[me];
-                let (t2, stall2) = g.machine.write(NodeId(me as u16), addr, new, t1, comp);
-                g.attribute(me, t1, t2, stall2);
-                t = t2;
-            }
-            g.clocks[me] = t;
-            v
-        })
+        self.load_then_store(TraceOp::Load(addr), addr, f)
     }
 
     /// Load the word at `addr` as an `f64` (bit-cast; numeric workloads
@@ -666,11 +614,8 @@ impl SimBuilder {
         let n = cfg.nodes as usize;
         let num = self.programs.len();
         let inner = Inner {
-            machine: self.machine,
-            clocks: vec![0; n],
-            times: vec![ProcTimes::default(); n],
+            c: Commit::new(self.machine, n),
             active: (0..n).map(|i| i < num).collect(),
-            comp: vec![Component::App; n],
             quantum: cfg.schedule_quantum,
             max_cycles: self.max_cycles,
             watchdog: self.watchdog,
@@ -725,7 +670,7 @@ fn run_fiber(
     if let Some(payload) = panics.into_iter().flatten().next() {
         resume_unwind(payload);
     }
-    finish(inner, num, cfg)
+    finish(inner, num)
 }
 
 /// Drive the simulation on the OS-thread backend: one thread per
@@ -793,30 +738,19 @@ fn run_threads(
         .inner
         .into_inner()
         .unwrap_or_else(|e| e.into_inner());
-    finish(inner, num, cfg)
+    finish(inner, num)
 }
 
 /// Common epilogue: fold the final engine state into [`FinishedSim`].
-fn finish(mut inner: Inner, num: usize, cfg: MachineConfig) -> FinishedSim {
+fn finish(mut inner: Inner, num: usize) -> FinishedSim {
     let trace = inner.trace.take().map(|events| Trace {
         events,
         procs: num as u16,
     });
-    let exec_cycles = inner.clocks.iter().take(num).copied().max().unwrap_or(0);
-    let stats = RunStats {
-        protocol: cfg.protocol.kind,
-        config: cfg,
-        exec_cycles,
-        per_proc: inner.times.into_iter().take(num).collect(),
-        traffic: inner.machine.traffic().clone(),
-        dir: inner.machine.dir_stats(),
-        machine: inner.machine.counters(),
-        oracle: *inner.machine.oracle_stats(),
-        false_sharing: *inner.machine.false_sharing_stats(),
-    };
+    let (stats, machine) = inner.c.finish(num);
     FinishedSim {
         stats,
-        machine: inner.machine,
+        machine,
         trace,
     }
 }
@@ -1091,6 +1025,25 @@ mod tests {
         b.run();
     }
 
+    /// `busy` is compute time, not an access: however long, it must not
+    /// trip the watchdog. The cold load after it does, so the panic must
+    /// name that load, issued once the busy period is over.
+    #[test]
+    fn busy_longer_than_the_watchdog_does_not_trip_it() {
+        let mut b = SimBuilder::new(cfg());
+        let a = b.alloc().alloc_words(1);
+        b.watchdog(10);
+        b.spawn(move |p| {
+            p.busy(1000);
+            p.load(a);
+        });
+        let err = catch_unwind(AssertUnwindSafe(|| b.run())).expect_err("the cold load trips it");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("forward-progress watchdog"), "{msg}");
+        let load = format!("last {:?} issued @1000", TraceOp::Load(a));
+        assert!(msg.contains(&load), "the watchdog blamed busy: {msg}");
+    }
+
     /// Build a live `Inner` with a scripted access history (more entries
     /// than the window holds) for direct watchdog-report rendering tests.
     fn scripted_inner() -> Inner {
@@ -1100,11 +1053,8 @@ mod tests {
             ..ccsim_types::FaultConfig::default()
         });
         let mut inner = Inner {
-            machine: Machine::new(c),
-            clocks: vec![0; 4],
-            times: vec![ProcTimes::default(); 4],
+            c: Commit::new(Machine::new(c), 4),
             active: vec![true, true, true, false],
-            comp: vec![Component::App; 4],
             quantum: 1,
             max_cycles: u64::MAX,
             watchdog: 10,
@@ -1115,7 +1065,7 @@ mod tests {
         };
         for i in 0..40u64 {
             let p = (i % 3) as u16;
-            inner.clocks[p as usize] = i * 10;
+            inner.c.clocks[p as usize] = i * 10;
             inner.record(p, TraceOp::Load(Addr(0x1000 + i * 8)));
         }
         inner
@@ -1124,9 +1074,9 @@ mod tests {
     /// The least `(clock / quantum, id)` among active processors, by a
     /// brute-force scan.
     fn least_key(inner: &Inner) -> Option<usize> {
-        (0..inner.clocks.len())
+        (0..inner.c.clocks.len())
             .filter(|&p| inner.active[p])
-            .min_by_key(|&p| (inner.clocks[p] / inner.quantum, p))
+            .min_by_key(|&p| (inner.c.clocks[p] / inner.quantum, p))
     }
 
     #[test]
@@ -1136,7 +1086,7 @@ mod tests {
         for _ in 0..2000 {
             inner.quantum = [1, 3, 64][rng.below(3) as usize];
             for p in 0..4 {
-                inner.clocks[p] = rng.below(300);
+                inner.c.clocks[p] = rng.below(300);
                 inner.active[p] = rng.below(4) != 0;
             }
             inner.until = 0;
@@ -1144,14 +1094,14 @@ mod tests {
             assert_eq!(runner, least_key(&inner));
             let Some(r) = runner else { continue };
             let until = inner.until;
-            assert!(inner.clocks[r] < until);
+            assert!(inner.c.clocks[r] < until);
             if until < u64::MAX {
                 // The runner keeps the turn on the cached compare right up
                 // to the threshold, and loses it exactly there.
-                inner.clocks[r] = until - 1;
+                inner.c.clocks[r] = until - 1;
                 assert_eq!(least_key(&inner), Some(r));
                 assert_eq!(inner.runner(), Some(r));
-                inner.clocks[r] = until;
+                inner.c.clocks[r] = until;
                 assert_ne!(least_key(&inner), Some(r));
                 assert_eq!(inner.runner(), least_key(&inner));
             }
@@ -1191,7 +1141,7 @@ mod tests {
     fn watchdog_report_includes_per_node_and_transport_state() {
         let mut inner = scripted_inner();
         // Give the recovery transport a live flow: a faulted request 0 -> 1.
-        let _ = inner.machine.load(NodeId(0), Addr(4096 + 0x100), 400);
+        let _ = inner.c.machine.load(NodeId(0), Addr(4096 + 0x100), 400);
         let report = inner.watchdog_report();
         // Per-node lines carry clock, last-access age, and NI occupancy;
         // a retired node says so instead of showing a stale age.

@@ -20,7 +20,7 @@
 use ccsim_types::{Addr, MachineConfig, NodeId};
 
 use crate::invariants::{InvariantMode, InvariantReport};
-use crate::machine::Machine;
+use crate::machine::{Machine, StallKind};
 use crate::oracle::Component;
 use crate::stats::{ProcTimes, RunStats};
 
@@ -303,99 +303,86 @@ pub fn replay_events(
     (stats, log.expect("event capture was enabled"))
 }
 
-/// The serial commit engine behind every replay flavour: a fresh machine
-/// plus the per-processor clocks, time-attribution buckets, and component
-/// state, advanced one captured event at a time in capture order.
-struct ReplayState {
-    machine: Machine,
-    cfg: MachineConfig,
-    clocks: Vec<u64>,
-    times: Vec<ProcTimes>,
-    comp: Vec<Component>,
+/// The one commit step: a machine plus the per-processor clocks,
+/// time-attribution buckets and component state. Live runs
+/// ([`crate::run`]) and every replay flavour advance the same state through
+/// [`Commit::apply`], one operation at a time, which is why replaying under
+/// the same configuration reproduces the original run exactly.
+pub(crate) struct Commit {
+    pub(crate) machine: Machine,
+    pub(crate) clocks: Vec<u64>,
+    pub(crate) times: Vec<ProcTimes>,
+    pub(crate) comp: Vec<Component>,
 }
 
-impl ReplayState {
-    fn new(
-        cfg: MachineConfig,
-        trace: &Trace,
-        init: &[(Addr, u64)],
-        mode: Option<InvariantMode>,
-        capture_events: bool,
-    ) -> ReplayState {
-        assert!(
-            cfg.nodes >= trace.procs,
-            "trace uses {} processors, machine has {}",
-            trace.procs,
-            cfg.nodes
-        );
-        let mut machine = Machine::new(cfg);
-        if let Some(m) = mode {
-            machine.set_invariant_mode(m);
-        }
-        if capture_events {
-            machine.capture_events();
-        }
-        for &(a, v) in init {
-            machine.poke(a, v);
-        }
-        let n = trace.procs as usize;
-        ReplayState {
+impl Commit {
+    /// Commit state for `procs` processors over `machine`, all clocks at 0.
+    pub(crate) fn new(machine: Machine, procs: usize) -> Commit {
+        Commit {
             machine,
-            cfg,
-            clocks: vec![0u64; n],
-            times: vec![ProcTimes::default(); n],
-            comp: vec![Component::App; n],
+            clocks: vec![0; procs],
+            times: vec![ProcTimes::default(); procs],
+            comp: vec![Component::App; procs],
         }
     }
 
-    /// Commit one captured event.
-    // ccsim-lint: allow(panic-path): replay ops index per-proc tables sized from the trace header at load time
-    fn apply(&mut self, e: &TraceEvent) {
-        let p = e.proc as usize;
-        let id = NodeId(e.proc);
+    /// Commit one operation of processor `p`: the machine call, the stall
+    /// attribution and the clock update. Returns the loaded value (0 unless
+    /// the op loads) and the access's cycles; `Busy` and `SetComponent` are
+    /// not accesses and report 0.
+    // ccsim-lint: allow(panic-path): per-proc tables are sized for every processor that can issue an op
+    pub(crate) fn apply(&mut self, p: usize, op: TraceOp) -> (u64, u64) {
+        let id = NodeId(p as u16);
         let t0 = self.clocks[p];
-        match e.op {
-            TraceOp::Load(a) => {
-                let (_, t1, stall) = self.machine.load(id, a, t0);
-                attribute(&mut self.times[p], t0, t1, stall);
-                self.clocks[p] = t1;
-            }
+        let (v, t1, stall) = match op {
+            TraceOp::Load(a) => self.machine.load(id, a, t0),
+            TraceOp::LoadExclusive(a) => self.machine.load_exclusive(id, a, t0),
             TraceOp::Store(a, v) => {
                 let (t1, stall) = self.machine.write(id, a, v, t0, self.comp[p]);
-                attribute(&mut self.times[p], t0, t1, stall);
-                self.clocks[p] = t1;
-            }
-            TraceOp::LoadExclusive(a) => {
-                let (_, t1, stall) = self.machine.load_exclusive(id, a, t0);
-                attribute(&mut self.times[p], t0, t1, stall);
-                self.clocks[p] = t1;
+                (0, t1, stall)
             }
             TraceOp::Busy(c) => {
                 self.times[p].busy += c;
                 self.clocks[p] += c;
+                return (0, 0);
             }
-            TraceOp::SetComponent(c) => self.comp[p] = c,
+            TraceOp::SetComponent(c) => {
+                self.comp[p] = c;
+                return (0, 0);
+            }
+        };
+        let dt = t1 - t0;
+        let t = &mut self.times[p];
+        match stall {
+            StallKind::None => t.busy += dt,
+            StallKind::Read => t.read_stall += dt,
+            StallKind::Write => t.write_stall += dt,
         }
+        self.clocks[p] = t1;
+        (v, dt)
     }
 
-    fn finish(mut self) -> (RunStats, InvariantReport, Option<crate::events::EventLog>) {
-        let report = self.machine.invariant_report().clone();
-        let log = self.machine.take_event_log();
+    /// Fold the first `procs` processors' times and the machine's counters
+    /// into [`RunStats`], handing the machine back for inspection.
+    pub(crate) fn finish(self, procs: usize) -> (RunStats, Machine) {
+        let cfg = *self.machine.config();
         let stats = RunStats {
-            protocol: self.cfg.protocol.kind,
-            config: self.cfg,
-            exec_cycles: self.clocks.iter().copied().max().unwrap_or(0),
-            per_proc: self.times,
+            protocol: cfg.protocol.kind,
+            config: cfg,
+            exec_cycles: self.clocks.iter().take(procs).copied().max().unwrap_or(0),
+            per_proc: self.times.into_iter().take(procs).collect(),
             traffic: self.machine.traffic().clone(),
             dir: self.machine.dir_stats(),
             machine: self.machine.counters(),
             oracle: *self.machine.oracle_stats(),
             false_sharing: *self.machine.false_sharing_stats(),
         };
-        (stats, report, log)
+        (stats, self.machine)
     }
 }
 
+/// Set up a fresh machine (invariant mode, event capture, `init` pokes) and
+/// commit every captured event in capture order.
 fn replay_inner(
     cfg: MachineConfig,
     trace: &Trace,
@@ -403,20 +390,33 @@ fn replay_inner(
     mode: Option<InvariantMode>,
     capture_events: bool,
 ) -> (RunStats, InvariantReport, Option<crate::events::EventLog>) {
-    let mut st = ReplayState::new(cfg, trace, init, mode, capture_events);
+    assert!(
+        cfg.nodes >= trace.procs,
+        "trace uses {} processors, machine has {}",
+        trace.procs,
+        cfg.nodes
+    );
+    let mut machine = Machine::new(cfg);
+    if let Some(m) = mode {
+        machine.set_invariant_mode(m);
+    }
+    if capture_events {
+        machine.capture_events();
+    }
+    for &(a, v) in init {
+        machine.poke(a, v);
+    }
+    let n = trace.procs as usize;
+    let mut c = Commit::new(machine, n);
     for e in &trace.events {
-        st.apply(e);
+        c.apply(e.proc as usize, e.op);
     }
-    st.finish()
-}
-
-fn attribute(t: &mut ProcTimes, t0: u64, t1: u64, stall: crate::machine::StallKind) {
-    let dt = t1 - t0;
-    match stall {
-        crate::machine::StallKind::None => t.busy += dt,
-        crate::machine::StallKind::Read => t.read_stall += dt,
-        crate::machine::StallKind::Write => t.write_stall += dt,
-    }
+    let (stats, mut machine) = c.finish(n);
+    (
+        stats,
+        machine.invariant_report().clone(),
+        machine.take_event_log(),
+    )
 }
 
 #[cfg(test)]

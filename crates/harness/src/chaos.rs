@@ -33,6 +33,8 @@ use ccsim_stats::ChaosSummary;
 use ccsim_types::{FaultConfig, MachineConfig, ProtocolKind};
 use ccsim_workloads::{capture_spec, Spec};
 
+use crate::jobset::default_workers;
+
 /// Scheduling quantum that serializes processors into round-robin slices
 /// long enough that every program runs sequentially — the live-simulation
 /// regime of the result-identity theorem (see the engine's fault soaks).
@@ -41,12 +43,6 @@ use ccsim_workloads::{capture_spec, Spec};
 /// under this quantum livelocks. The sweep itself does not need it —
 /// replay pins the interleaving via the captured trace instead.
 pub const SEQUENTIAL_QUANTUM: u64 = 1 << 40;
-
-/// Environment variable consulted for the sweep's worker-thread count.
-/// Results are bit-identical for every setting (cells are independent and
-/// collected in grid order), which `chaos_threads_do_not_affect_cache_keys`
-/// and the sweep determinism test pin.
-pub const CHAOS_THREADS_ENV: &str = "CCSIM_CHAOS_THREADS";
 
 /// The canonical chaos fault plan at a given intensity. `rate` scales all
 /// five fault classes together; at `rate = 60` this is exactly the
@@ -421,7 +417,6 @@ fn shrink_failure(
         }
     }
 
-    // ccsim-lint: allow(unwrap): `minimal` still fails by construction
     let failure = match Trace::from_events(procs, minimal.clone()) {
         Ok(t) => diverges(cfg, plan, &t, check_sc)
             .1
@@ -438,21 +433,11 @@ fn shrink_failure(
     }
 }
 
-/// Worker-thread count for the sweep: [`CHAOS_THREADS_ENV`] when set and
-/// sane, else 1. The count never affects results — only wall-clock.
-pub fn chaos_threads_from_env() -> usize {
-    std::env::var(CHAOS_THREADS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| (1..=64).contains(&n))
-        .unwrap_or(1)
-}
-
 /// Run the whole grid. Captures each `(spec, protocol)` base trace once
 /// (fault-free, default quantum), then checks every `(rate, seed)` cell
-/// against it, fanning cells across [`chaos_threads_from_env`] workers.
-/// Cell order — and therefore every result — is independent of the worker
-/// count.
+/// against it. Each cell is a single-threaded replay, so cells fan across
+/// the [`default_workers`] budget (`CCSIM_JOBS` overrides it); results come
+/// back in grid order, so every result is independent of the worker count.
 pub fn sweep(cc: &ChaosConfig) -> Result<ChaosOutcome, String> {
     // Pre-flight the mutation gate so a misconfigured release build fails
     // before burning capture time.
@@ -480,7 +465,8 @@ pub fn sweep(cc: &ChaosConfig) -> Result<ChaosOutcome, String> {
         }
     }
 
-    let run_cell = |&(base_idx, rate, seed): &(usize, u16, u64)| -> Result<ChaosCell, String> {
+    let run_cell = |i: usize| -> Result<ChaosCell, String> {
+        let (base_idx, rate, seed) = grid[i];
         let (workload, cfg, trace) = &bases[base_idx];
         let plan = apply_mutation(chaos_plan(rate, seed), cc.mutation)?;
         let (fstats, failure) = diverges(*cfg, plan, trace, cc.check_sc);
@@ -497,34 +483,9 @@ pub fn sweep(cc: &ChaosConfig) -> Result<ChaosOutcome, String> {
         })
     };
 
-    let workers = chaos_threads_from_env().min(grid.len().max(1));
-    let cells: Vec<ChaosCell> = if workers <= 1 {
-        grid.iter().map(run_cell).collect::<Result<_, _>>()?
-    } else {
-        // Round-robin sharding; slots are written by index, so collection
-        // order equals grid order no matter which worker finishes first.
-        let slots: Vec<std::sync::Mutex<Option<Result<ChaosCell, String>>>> =
-            grid.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let grid = &grid;
-                let slots = &slots;
-                scope.spawn(move || {
-                    for (i, cell) in grid.iter().enumerate() {
-                        if i % workers == w {
-                            // ccsim-lint: allow(unwrap): slot mutexes are never poisoned
-                            *slots[i].lock().unwrap() = Some(run_cell(cell));
-                        }
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            // ccsim-lint: allow(unwrap): every slot was filled by its worker
-            .map(|s| s.into_inner().unwrap().unwrap())
-            .collect::<Result<_, _>>()?
-    };
+    let cells = ccsim_util::pool::run_indexed(default_workers(1), grid.len(), run_cell)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
     let witness = if cc.shrink {
         match cells.iter().position(|c| c.failure.is_some()) {

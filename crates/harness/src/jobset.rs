@@ -1,12 +1,14 @@
 //! A set of independent simulation jobs fanned across a bounded worker
 //! pool, with deterministic result ordering.
 //!
-//! Each simulation run already spawns one OS thread per simulated processor
-//! and serializes them under the engine lock, so a run occupies roughly one
-//! core regardless of its node count — but its *threads* all exist at once.
-//! The pool budget therefore divides the host's cores by the widest job's
-//! processor count, keeping the total live-thread count bounded while still
-//! running independent experiments concurrently.
+//! A simulation run occupies roughly one core regardless of its node count.
+//! On the default fiber backend it is one OS thread; on the thread backend
+//! (`CCSIM_SIM_ENGINE=threads`) it spawns one OS thread per simulated
+//! processor, serialized under the engine lock, and those threads all exist
+//! at once. The pool budget therefore divides the host's cores by the
+//! widest job's processor count, keeping the total live-thread count
+//! bounded on either backend while still running independent experiments
+//! concurrently.
 //!
 //! Results come back in submission order no matter which worker finished
 //! first, and every job goes through the run cache, so a `JobSet` is a

@@ -24,7 +24,6 @@ pub mod jobset;
 
 pub use cache::{default_dir, run_cached, run_cached_at, run_key, CacheMode, CacheStats};
 pub use chaos::{
-    chaos_plan, sweep, ChaosCell, ChaosConfig, ChaosOutcome, ChaosWitness, CHAOS_THREADS_ENV,
-    SEQUENTIAL_QUANTUM,
+    chaos_plan, sweep, ChaosCell, ChaosConfig, ChaosOutcome, ChaosWitness, SEQUENTIAL_QUANTUM,
 };
 pub use jobset::{default_workers, run_protocols, Job, JobError, JobSet};

@@ -1,12 +1,14 @@
-//! The chaos sweep's worker count is an execution knob, not an input: it
-//! must affect neither the run-cache key (the chaos gate shares cached
-//! fault-free runs with every other experiment) nor any swept result.
-//! `cache_key_env_invariance` pins the key half for `CCSIM_JOBS` as well.
+//! The chaos sweep's worker count (`CCSIM_JOBS`, the one worker-count knob)
+//! is an execution knob, not an input: it must affect neither the run-cache
+//! key (the chaos gate shares cached fault-free runs with every other
+//! experiment) nor any swept result.
 
-use ccsim_harness::chaos::{sweep, ChaosConfig, CHAOS_THREADS_ENV};
+use ccsim_harness::chaos::{sweep, ChaosConfig};
 use ccsim_harness::run_key;
 use ccsim_types::{MachineConfig, ProtocolKind};
 use ccsim_workloads::{lu::LuParams, Spec};
+
+const JOBS: &str = "CCSIM_JOBS";
 
 /// One test function on purpose: both halves mutate the same process-global
 /// environment variable and must not interleave.
@@ -18,14 +20,14 @@ fn chaos_thread_setting_changes_neither_cache_keys_nor_sweep_results() {
     // Half 1: the cache key is a pure function of (config, spec).
     let key = run_key(&cfg, &spec);
     for setting in ["1", "4", "16", "banana"] {
-        std::env::set_var(CHAOS_THREADS_ENV, setting);
+        std::env::set_var(JOBS, setting);
         assert_eq!(
             run_key(&cfg, &spec),
             key,
-            "{CHAOS_THREADS_ENV}={setting} changed the cache key"
+            "{JOBS}={setting} changed the cache key"
         );
     }
-    std::env::remove_var(CHAOS_THREADS_ENV);
+    std::env::remove_var(JOBS);
     assert_eq!(run_key(&cfg, &spec), key);
 
     // Half 2: the sweep's cells are bit-identical for every worker count.
@@ -38,10 +40,11 @@ fn chaos_thread_setting_changes_neither_cache_keys_nor_sweep_results() {
         shrink: false,
         mutation: None,
     };
+    std::env::set_var(JOBS, "1");
     let serial = sweep(&cc).unwrap();
-    std::env::set_var(CHAOS_THREADS_ENV, "4");
+    std::env::set_var(JOBS, "4");
     let parallel = sweep(&cc).unwrap();
-    std::env::remove_var(CHAOS_THREADS_ENV);
+    std::env::remove_var(JOBS);
 
     assert_eq!(serial.cells.len(), parallel.cells.len());
     for (s, p) in serial.cells.iter().zip(&parallel.cells) {

@@ -10,7 +10,7 @@
 //! global lock-order cycle detection, nondeterminism taint tracking from
 //! sources (wall clock, `RandomState`, unvetted env reads) into determinism
 //! sinks (canonical JSON, cache keys, event logs), and panic-path
-//! reachability from the replay-commit and directory-mutation entry
+//! reachability from the commit and directory-mutation entry
 //! points. Violations are suppressible only via justified
 //! `// ccsim-lint: allow(<rule>): <why>` comments. [`sarif`] renders
 //! diagnostics as SARIF 2.1.0 for code-scanning UIs.

@@ -153,11 +153,11 @@ parser.",
     },
     RuleInfo {
         id: RULE_PANIC_PATH,
-        summary: "no reachable panic on replay-commit or directory-mutation paths",
+        summary: "no reachable panic on commit or directory-mutation paths",
         explain: "`unwrap` sees one call site at a time; this rule asks what the commit \
-entry points actually reach. Starting from the replay-commit entry \
-(`ReplayState::apply`) and every directory mutation (`DirTable` \
-`read`/`write`/`replacement`/`read_forward_result`/`write_forward_result`), \
+entry points actually reach. Starting from the commit entry \
+(`Commit::apply`, which live runs and replay share) and every directory \
+mutation (`DirTable` `read`/`write`/`replacement`/`read_forward_result`/`write_forward_result`), \
 it walks the approximate call graph and reports \
 every potential panic site — `.unwrap()`, `.expect(..)`, panic-family \
 macros, and `[..]` indexing — in reachable protocol-crate code, each with \
@@ -276,7 +276,7 @@ impl LintConfig {
                 "crates/model/src/".into(),
             ],
             panic_entries: [
-                "ReplayState::apply",
+                "Commit::apply",
                 "DirTable::read",
                 "DirTable::write",
                 "DirTable::replacement",
@@ -292,7 +292,7 @@ impl LintConfig {
 
     /// Every rule applies to every file — used to exercise fixtures. The
     /// `panic-path` walk starts from any function named `commit_frame`, the
-    /// fixture stand-in for the replay-commit entry.
+    /// fixture stand-in for the commit entry.
     pub fn all_rules() -> Self {
         LintConfig {
             unwrap_scope: vec![String::new()],

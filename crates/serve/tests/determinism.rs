@@ -80,21 +80,20 @@ fn ward_stop_lands_on_the_identical_cycle_across_reruns() {
 fn thread_count_env_vars_cannot_enter_the_serve_key() {
     // Mirrors the harness cache-key invariance test: the serve content key
     // hashes canonical config JSON only, so no thread-count knob can leak
-    // in. Both worker-count variables the harness reads are pinned here.
+    // in. The one worker-count variable the harness reads is pinned here.
     let cfg = cfg();
     let m = machine();
     let before = serve_key(&m, &cfg);
-    for var in ["CCSIM_JOBS", "CCSIM_CHAOS_THREADS"] {
-        for setting in ["1", "4", "8", "banana"] {
-            std::env::set_var(var, setting);
-            assert_eq!(
-                serve_key(&m, &cfg),
-                before,
-                "{var}={setting} changed the serve key"
-            );
-        }
-        std::env::remove_var(var);
+    let var = "CCSIM_JOBS";
+    for setting in ["1", "4", "8", "banana"] {
+        std::env::set_var(var, setting);
+        assert_eq!(
+            serve_key(&m, &cfg),
+            before,
+            "{var}={setting} changed the serve key"
+        );
     }
+    std::env::remove_var(var);
     assert_eq!(serve_key(&m, &cfg), before);
 
     // The key does respond to what determines results.

@@ -72,21 +72,26 @@ impl FromJson for Spec {
     }
 }
 
+/// Lay out `spec`'s memory and spawn its programs into `b`.
+fn build(b: &mut SimBuilder, spec: &Spec) {
+    match spec {
+        Spec::Mp3d(p) => mp3d::build(b, p),
+        Spec::Lu(p) => {
+            lu::build(b, p);
+        }
+        Spec::Cholesky(p) => {
+            cholesky::build(b, p);
+        }
+        Spec::Oltp(p) => {
+            oltp::build(b, p);
+        }
+    }
+}
+
 /// Build and run one workload on one machine configuration.
 pub fn run_spec(cfg: MachineConfig, spec: &Spec) -> RunStats {
     let mut b = SimBuilder::new(cfg);
-    match spec {
-        Spec::Mp3d(p) => mp3d::build(&mut b, p),
-        Spec::Lu(p) => {
-            lu::build(&mut b, p);
-        }
-        Spec::Cholesky(p) => {
-            cholesky::build(&mut b, p);
-        }
-        Spec::Oltp(p) => {
-            oltp::build(&mut b, p);
-        }
-    }
+    build(&mut b, spec);
     b.run()
 }
 
@@ -95,22 +100,11 @@ pub fn run_spec(cfg: MachineConfig, spec: &Spec) -> RunStats {
 pub fn capture_spec(cfg: MachineConfig, spec: &Spec) -> (RunStats, Trace) {
     let mut b = SimBuilder::new(cfg);
     b.capture_trace();
-    match spec {
-        Spec::Mp3d(p) => mp3d::build(&mut b, p),
-        Spec::Lu(p) => {
-            lu::build(&mut b, p);
-        }
-        Spec::Cholesky(p) => {
-            cholesky::build(&mut b, p);
-        }
-        Spec::Oltp(p) => {
-            oltp::build(&mut b, p);
-        }
-    }
+    build(&mut b, spec);
     let mut done = b.run_full();
     let trace = done
         .take_trace()
-        // ccsim-lint: allow(unwrap): capture_trace() was called four lines up
+        // ccsim-lint: allow(unwrap): capture_trace() was called before the run
         .expect("trace capture was enabled");
     (done.stats, trace)
 }
@@ -120,22 +114,11 @@ pub fn capture_spec(cfg: MachineConfig, spec: &Spec) -> (RunStats, Trace) {
 pub fn capture_events_spec(cfg: MachineConfig, spec: &Spec) -> (RunStats, EventLog) {
     let mut b = SimBuilder::new(cfg);
     b.capture_events();
-    match spec {
-        Spec::Mp3d(p) => mp3d::build(&mut b, p),
-        Spec::Lu(p) => {
-            lu::build(&mut b, p);
-        }
-        Spec::Cholesky(p) => {
-            cholesky::build(&mut b, p);
-        }
-        Spec::Oltp(p) => {
-            oltp::build(&mut b, p);
-        }
-    }
+    build(&mut b, spec);
     let mut done = b.run_full();
     let log = done
         .take_event_log()
-        // ccsim-lint: allow(unwrap): capture_events() was called four lines up
+        // ccsim-lint: allow(unwrap): capture_events() was called before the run
         .expect("event capture was enabled");
     (done.stats, log)
 }
